@@ -86,6 +86,8 @@ class _Reader:
         return None
 
     def read_rows(self, count: int, width: int, what: str) -> list[Vec]:
+        if width == 0:  # empty rows serialize as blank lines, which are skipped
+            return [()] * count
         rows = []
         for _ in range(count):
             line, no = self.next_line(what)

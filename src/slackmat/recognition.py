@@ -6,6 +6,11 @@ of its column span.  A matrix is a slack matrix of a polyhedral cone exactly
 when this holds, and of a polytope when additionally its rank is at least
 two and the all-ones vector lies in its column span.
 
+The test runs in the coordinates of one rank factorization M = A B: the CCGC
+holds iff every extreme ray of the pointed cone {y : A y >= 0} is a positive
+multiple of a column of B.  An unmatched ray is refuted by a separator
+written down in closed form, without a second cone conversion.
+
 Every verdict ships a certificate: an exact rank factorization on yes, a
 point-and-separator witness (or a span/rank witness for the polytope-only
 preconditions) on no.  Certificates are re-checkable by plain arithmetic,
@@ -42,7 +47,6 @@ from .polyhedra import (
     PolytopeRep,
     canonical_ray,
     dd_h_to_v,
-    dd_v_to_h,
     slack_of_polytope,
 )
 
@@ -97,50 +101,41 @@ def _require_nonnegative(m: Matrix) -> None:
         raise ValueError("matrix has a negative entry")
 
 
-def _nonneg_span_cone(m: Matrix) -> ConeRep:
-    """H-form of  colspan(M) intersected with the nonnegative orthant."""
-    p = m.rows
-    normals: list[Vec] = []
-    for z in left_kernel_basis(m):
-        normals.append(z)
-        normals.append(vscale(Fraction(-1), z))
-    normals.extend(unit(p, i) for i in range(p))
-    return ConeRep("H", p, tuple(normals))
+def _separator(m: Matrix, x: Vec) -> Vec:
+    """h = t - eps x, nonnegative on the columns and negative on x.
+
+    t indicates the zero set of the unmatched extreme ray x; a nonzero column
+    with t . M_j = 0 would be a multiple of x, so eps > 0 exists.
+    """
+    t = tuple(Fraction(xi == 0) for xi in x)
+    ratios = [dot(t, c) / dot(x, c) for c in m.columns() if dot(x, c) > 0]
+    eps = min(ratios, default=Fraction(1))
+    return vsub(t, vscale(eps, x))
 
 
-def _separator_against_columns(m: Matrix, witness: Vec) -> Vec:
-    """First facet normal of cone(columns) that is negative on the witness."""
-    gens = tuple(c for c in m.columns() if not is_zero_vec(c))
-    h = dd_v_to_h(ConeRep("V", m.rows, gens))
-    for normal in h.vectors:
-        if dot(normal, witness) < 0:
-            return normal
-    raise AssertionError("witness is inside the column cone")
+def _ccgc_with_factors(m: Matrix, a: Matrix, b: Matrix) -> RecognitionResult:
+    k = dd_h_to_v(ConeRep("H", a.cols, a.data))
+    columns = {
+        canonical_ray(c) for c in b.columns() if not is_zero_vec(c)
+    }
+    for y in k.vectors:
+        if y not in columns:
+            x = canonical_ray(a.matvec(y))
+            cert = NoCertificate(UNMATCHED_RAY, "column", x, _separator(m, x))
+            return RecognitionResult(False, KIND_CONE, cert)
+    return RecognitionResult(True, KIND_CONE, YesCertificate(a=a, b=b))
 
 
 def ccgc_check(m: Matrix) -> RecognitionResult:
     """Decide the column cone generating condition with a certificate.
 
-    Follows the five-step extreme-ray matching scheme: build the cone
-    colspan(M) in the orthant from the left kernel, enumerate its extreme
-    rays, and require every ray to be a positive multiple of a column.
+    With a rank factorization m = a b, run one double description of the
+    pointed cone {y : a y >= 0} in dimension rank(m) and require each extreme
+    ray to be a positive multiple of a column of b; a is injective, so this
+    is the CCGC in R^p.  An unmatched ray y gives the witness x = a y.
     """
     _require_nonnegative(m)
-    k = dd_h_to_v(_nonneg_span_cone(m))
-    columns = {
-        canonical_ray(c) for c in m.columns() if not is_zero_vec(c)
-    }
-    for ray in k.vectors:
-        if ray not in columns:
-            cert = NoCertificate(
-                UNMATCHED_RAY,
-                convention="column",
-                witness=ray,
-                separator=_separator_against_columns(m, ray),
-            )
-            return RecognitionResult(False, KIND_CONE, cert)
-    a, b = rank_factorization(m)
-    return RecognitionResult(True, KIND_CONE, YesCertificate(a=a, b=b))
+    return _ccgc_with_factors(m, *rank_factorization(m))
 
 
 def _transpose_certificate(cert: YesCertificate | NoCertificate):
@@ -170,7 +165,8 @@ def is_polytope_slack(m: Matrix) -> RecognitionResult:
     the CCGC; the yes-certificate carries a realized polytope.
     """
     _require_nonnegative(m)
-    if rank(m) < 2:
+    a, b = rank_factorization(m)
+    if a.cols < 2:
         cert = NoCertificate(RANK_TOO_SMALL)
         return RecognitionResult(False, KIND_POLYTOPE, cert)
     mu = solve_linear(m, ones(m.rows))
@@ -180,10 +176,10 @@ def is_polytope_slack(m: Matrix) -> RecognitionResult:
         )
         cert = NoCertificate(ONES_NOT_IN_SPAN, witness=z)
         return RecognitionResult(False, KIND_POLYTOPE, cert)
-    base = ccgc_check(m)
+    base = _ccgc_with_factors(m, a, b)
     if not base.verdict:
         return RecognitionResult(False, KIND_POLYTOPE, base.certificate)
-    v, h, a2, b2 = _reconstruct_with_factors(m, rank_factorization(m), mu)
+    v, h, a2, b2 = _reconstruct_with_factors(m, (a, b), mu)
     cert = YesCertificate(a=a2, b=b2, mu=mu, polytope=(v, h))
     return RecognitionResult(True, KIND_POLYTOPE, cert)
 
@@ -273,7 +269,7 @@ def reconstruct_polytope(
     if factors is None:
         return res.certificate.polytope
     a, b = factors
-    if a * b != m or a.cols != rank(m):
+    if a * b != m or a.cols != res.certificate.a.cols:
         raise ValueError("supplied factors are not a rank factorization")
     v, h, _, _ = _reconstruct_with_factors(m, (a, b), res.certificate.mu)
     return v, h

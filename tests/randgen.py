@@ -30,7 +30,12 @@ def random_nonneg_matrix(r, max_rows=6, max_cols=6):
 
 
 def random_slack_like_matrix(r, max_dim=3, max_pts=5):
-    """Products G * H with G, H nonnegative: always cone slack matrices."""
+    """Products G * H with G, H nonnegative, of inner dimension at most max_dim.
+
+    Not always cone slack matrices: the columns can miss an extreme ray of
+    the nonnegative part of their span.  About three draws in four are cone
+    slack with the default sizes.
+    """
     k = r.randint(1, max_dim)
     p = r.randint(1, max_pts)
     q = r.randint(1, max_pts)

@@ -42,6 +42,13 @@ class TestCheckCommands:
         assert out.startswith("CONE-SLACK no")
         assert run(["verify-cert", f, str(cert)]) == 0
 
+    def test_zero_matrix_certificate_verifies(self, tmp_path, capsys):
+        f = write_doc(tmp_path / "z.matrix", Matrix.zero(2, 3))
+        cert = tmp_path / "z.cert"
+        assert run(["check-cone", f, "--quiet", "--certificate", str(cert)]) == 0
+        assert run(["verify-cert", f, str(cert)]) == 0
+        assert capsys.readouterr().out.strip() == "CERT valid"
+
     def test_check_cone_transpose_of_prism(self, tmp_path):
         f = write_doc(tmp_path / "mt.matrix", PRISM.transpose())
         assert run(["check-cone", f, "--quiet"]) == 0

@@ -71,6 +71,13 @@ class TestSerialize:
         assert "CERT NO" in text and "WITNESS" in text and "SEPARATOR" in text
         assert parse(text).payload == cert
 
+    def test_zero_width_rows_round_trip(self):
+        for m in (Matrix([[], []], cols=0), Matrix.zero(2, 3)):
+            back = parse(serialize(document_for(m))).payload
+            assert back == m
+            cert = is_cone_slack(m).certificate  # rank 0: A is p x 0
+            assert parse(serialize(document_for(cert))).payload == cert
+
     def test_yes_certificate_with_realization(self):
         cert = is_polytope_slack(PRISM).certificate
         back = parse(serialize(document_for(cert))).payload

@@ -1,3 +1,5 @@
+import itertools
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +21,8 @@ from slackmat import (
     slack_of_polytope,
     verify_no_certificate,
 )
+from slackmat import lp, polyhedra
+from slackmat.matrix import rank
 from slackmat.polyhedra import minimal_vrep
 from slackmat.recognition import (
     NoCertificate,
@@ -70,6 +74,66 @@ class TestCcgcRcgc:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             ccgc_check(Matrix([[1, -1]]))
+
+
+def cube_slack(k):
+    """Slack matrix of [0,1]^k: vertices by the facets x_i >= 0, x_i <= 1."""
+    return Matrix(
+        [v + tuple(1 - x for x in v)
+         for v in itertools.product((0, 1), repeat=k)],
+        cols=2 * k,
+    )
+
+
+CUBE5 = cube_slack(5)
+CUBE5_MINUS_FACET = CUBE5.submatrix(range(CUBE5.rows), range(1, CUBE5.cols))
+
+
+class TestRankCoordinates:
+    """The CCGC is one DD in dimension rank(M), with no V-to-H conversion
+    and no LP, on yes and no inputs alike."""
+
+    @pytest.fixture
+    def dd_dims(self, monkeypatch):
+        dd_h_to_v, dd_v_to_h = polyhedra.dd_h_to_v, polyhedra.dd_v_to_h
+        lp_solve = lp.lp_solve
+        dims = []
+
+        def recording(h):
+            dims.append(h.ambient_dim)
+            return dd_h_to_v(h)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("recognition called dd_v_to_h or lp_solve")
+
+        mods = [m for n, m in sys.modules.items()
+                if n == "slackmat" or n.startswith("slackmat.")]
+        for mod in mods:
+            for name, value in list(vars(mod).items()):
+                if value is dd_h_to_v:
+                    monkeypatch.setattr(mod, name, recording)
+                elif value is dd_v_to_h or value is lp_solve:
+                    monkeypatch.setattr(mod, name, forbidden)
+        return dims
+
+    @pytest.mark.parametrize("m, verdict", [
+        (COUNTEREXAMPLE, False),
+        (PRISM, True),
+        (CUBE5, True),
+        (CUBE5_MINUS_FACET, False),
+    ], ids=["counterexample", "prism", "cube5", "cube5-minus-facet"])
+    def test_one_dd_in_rank_dimension(self, dd_dims, m, verdict):
+        r = rank(m)
+        for check in (ccgc_check, is_polytope_slack):
+            dd_dims.clear()
+            res = check(m)
+            assert res.verdict == verdict
+            # is_polytope_slack may reject on rank or span before the CCGC.
+            reaches_ccgc = (check is ccgc_check or res.verdict
+                            or res.certificate.reason == UNMATCHED_RAY)
+            assert dd_dims == ([r] if reaches_ccgc else [])
+            if not verdict:
+                assert verify_no_certificate(m, res.certificate)
 
 
 class TestIsConeSlack:
