@@ -17,7 +17,6 @@ from .matrix import Matrix
 from .polyhedra import (
     ConeRep,
     PolytopeRep,
-    dimension,
     slack_of_cone,
     slack_of_polytope,
 )

@@ -87,6 +87,9 @@ class _Reader:
 
     def read_rows(self, count: int, width: int, what: str) -> list[Vec]:
         if width == 0:  # empty rows serialize as blank lines, which are skipped
+            if count > len(self.lines) - self.pos:
+                raise FormatError("unexpected end of input, wanted %d empty %s rows"
+                                  % (count, what), len(self.lines) + 1)
             return [()] * count
         rows = []
         for _ in range(count):

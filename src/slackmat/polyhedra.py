@@ -252,13 +252,19 @@ def _h_polytope_constraints(h: PolytopeRep) -> list[Constraint]:
     return [con(a, lp.LE, beta) for beta, a in h.inequalities()]
 
 
-def _implicit_equalities(constraints: list[Constraint], n: int) -> list[Vec]:
-    """Normals of the inequalities that are tight on the whole feasible set."""
-    feas = lp.lp_solve([0] * n, constraints, sense="min")
-    if feas.status == lp.INFEASIBLE:
-        raise EmptyPolyhedronError("empty")
+def _implicit_equalities(constraints: list[Constraint],
+                         points: Sequence[Vec]) -> list[Vec]:
+    """Normals of the inequalities that are tight on the whole feasible set.
+
+    `points` are known feasible points.  A row with slack at any of them is
+    not tight on the whole set, so only the rows tight at every point get
+    an LP.  Given the points of a V-polytope Q inside P, these are the zero
+    columns of the slack matrix of Q in P.
+    """
     normals = []
     for ci in constraints:
+        if any(dot(ci.coeffs, x) != ci.rhs for x in points):
+            continue
         # Maximize the slack of row i; cap it at 1 to keep the LP bounded.
         sign = Fraction(-1) if ci.rel == lp.LE else Fraction(1)
         slack_obj = vscale(sign, ci.coeffs)
@@ -280,16 +286,18 @@ def dimension(rep: ConeRep | PolytopeRep) -> int:
             m = Matrix(rep.vectors + rep.lineality, cols=n)
             return rank(m)
         constraints = [con(b, lp.GE, 0) for b in rep.vectors]
-        normals = _implicit_equalities(constraints, n)
-        return n - rank(Matrix(normals, cols=n))
-    if rep.form == "V":
+    elif rep.form == "V":
         pts = rep.points()
         if not pts:
             raise ValueError("empty V-polytope")
         diffs = [vsub(p, pts[0]) for p in pts[1:]]
         return rank(Matrix(diffs, cols=n))
-    constraints = _h_polytope_constraints(rep)
-    normals = _implicit_equalities(constraints, n)
+    else:
+        constraints = _h_polytope_constraints(rep)
+    feas = lp.lp_solve([0] * n, constraints, sense="min")
+    if feas.status == lp.INFEASIBLE:
+        raise EmptyPolyhedronError("empty")
+    normals = _implicit_equalities(constraints, [feas.point])
     return n - rank(Matrix(normals, cols=n))
 
 

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .matrix import Matrix, rank
-from .polyhedra import PolytopeRep, dimension, slack_of_polytope
+from .polyhedra import (
+    PolytopeRep,
+    _h_polytope_constraints,
+    _implicit_equalities,
+    dimension,
+    slack_of_polytope,
+)
 from .recognition import NoCertificate, is_polytope_slack
 
 EQUAL = "equal"
@@ -43,6 +49,12 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
     normals), dimensions must agree, and the matrix of slacks of Q's points
     in P's inequalities must be a polytope slack matrix.  A failure at any
     stage proves P != Q.
+
+    dim P is n minus the rank of P's implicit equalities, the inequalities
+    tight on all of P.  Since Q lies in P, such an inequality is tight at
+    every point of Q, so its column of the slack matrix is zero; every
+    other column has slack at a point of P.  Only the zero columns get an
+    LP, and Q's points already show that P is not empty.
     """
     if q.form != "V" or p.form != "H":
         raise ValueError("need a V-polytope and an H-polyhedron")
@@ -52,7 +64,8 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
     if rank(w) < n:
         return VerificationResult(False, NOT_POINTED)
     dim_q = dimension(q)
-    dim_p = dimension(p)
+    eqs = _implicit_equalities(_h_polytope_constraints(p), q.points())
+    dim_p = n - rank(Matrix(eqs, cols=n))
     if dim_q != dim_p:
         return VerificationResult(False, DIM_MISMATCH, dims=(dim_q, dim_p))
     res = is_polytope_slack(m)

@@ -49,6 +49,12 @@ class TestCheckCommands:
         assert run(["verify-cert", f, str(cert)]) == 0
         assert capsys.readouterr().out.strip() == "CERT valid"
 
+    def test_oversized_zero_width_header_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "huge.matrix"
+        f.write_text("MATRIX 1000000000 0\n")
+        assert run(["check-cone", str(f)]) == 2
+        assert "end of input" in capsys.readouterr().err
+
     def test_check_cone_transpose_of_prism(self, tmp_path):
         f = write_doc(tmp_path / "mt.matrix", PRISM.transpose())
         assert run(["check-cone", f, "--quiet"]) == 0

@@ -53,6 +53,11 @@ class TestParse:
         with pytest.raises(FormatError):
             parse("MATRIX 2 2\n1 2\n")
 
+    def test_zero_width_rows_need_their_blank_lines(self):
+        # Fails at the header's row count instead of allocating that many rows.
+        with pytest.raises(FormatError, match="line 2"):
+            parse("MATRIX 1000000000 0\n")
+
 
 class TestSerialize:
     def test_identity(self):

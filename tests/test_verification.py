@@ -1,10 +1,16 @@
+import itertools
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from slackmat import (
+    Matrix,
     PolytopeRep,
     containment_check,
+    dimension,
+    lp,
+    rank,
     verify_no_certificate,
     verify_polytope_equality,
 )
@@ -89,3 +95,125 @@ class TestAgainstEnumerationOracle:
         for _ in range(5):
             v, h = random_polytope(r, max_dim=3)
             assert set(vertices_of_h_polytope(h)) == set(v.vectors)
+
+
+CUBE3_VERTICES = PolytopeRep("V", 3, tuple(itertools.product((-1, 1), repeat=3)))
+CUBE3_FACETS = PolytopeRep("H", 3, tuple(
+    (1,) + tuple(s if j == i else 0 for j in range(3))
+    for i in range(3) for s in (1, -1)
+))
+SOLIDS = pytest.mark.parametrize("q, p", [
+    (PRISM_VERTICES, PRISM_FACETS),
+    (CUBE3_VERTICES, CUBE3_FACETS),
+], ids=["prism", "cube3"])
+
+
+def embed(q, p):
+    """Q and P in R^(n+1) at z = 0, with P stating z = 0 as z <= 0, -z <= 0."""
+    n = q.ambient_dim
+    q1 = PolytopeRep("V", n + 1, tuple(tuple(v) + (0,) for v in q.vectors))
+    rows = tuple(tuple(h) + (0,) for h in p.vectors)
+    z = (0,) * (n + 1)
+    p1 = PolytopeRep("H", n + 1, rows + (z + (1,), z + (-1,)))
+    return q1, p1
+
+
+def on_facet(q, p, j):
+    """The points of Q on the j-th inequality of P."""
+    s = slack_of_polytope(q, p)
+    return PolytopeRep("V", q.ambient_dim,
+                       tuple(v for v, row in zip(q.vectors, s.data) if row[j] == 0))
+
+
+class TestLpCount:
+    """Only inequalities tight at every point of Q can be implicit
+    equalities of P, so only those get an LP."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        lp_solve = lp.lp_solve
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lp_solve(*args, **kwargs)
+
+        mods = [m for n, m in sys.modules.items()
+                if n == "slackmat" or n.startswith("slackmat.")]
+        for mod in mods:
+            for name, value in list(vars(mod).items()):
+                if value is lp_solve:
+                    monkeypatch.setattr(mod, name, counting)
+        return calls
+
+    @SOLIDS
+    def test_no_lp_without_zero_columns(self, lp_calls, q, p):
+        cases = [
+            (q, p, EQUAL),
+            (PolytopeRep("V", 3, q.vectors[1:]), p, SLACK_REJECT),
+            (q, PolytopeRep("H", 3, p.vectors[1:]), SLACK_REJECT),
+        ]
+        for qq, pp, reason in cases:
+            assert verify_polytope_equality(qq, pp).reason == reason
+        assert lp_calls == []
+
+    @SOLIDS
+    def test_one_facet_is_one_lp(self, lp_calls, q, p):
+        res = verify_polytope_equality(on_facet(q, p, 0), p)
+        assert not res.equal and res.reason == DIM_MISMATCH
+        assert res.dims == (2, 3)
+        assert len(lp_calls) == 1
+
+    def test_explicit_equality_pair(self, lp_calls):
+        res = verify_polytope_equality(*embed(SQUARE_VERTICES, SQUARE_FACETS))
+        assert res.equal and res.reason == EQUAL
+        assert len(lp_calls) == 2
+
+
+def _edge(q, p):
+    """Two vertices of Q joined by an edge of P = conv(Q)."""
+    s = slack_of_polytope(q, p)
+    n = q.ambient_dim
+    for i, k in itertools.combinations(range(len(q.vectors)), 2):
+        tight = [p.vectors[j][1:] for j in range(s.cols)
+                 if s.data[i][j] == 0 and s.data[k][j] == 0]
+        if rank(Matrix(tight, cols=n)) == n - 1:
+            return PolytopeRep("V", n, (q.vectors[i], q.vectors[k]))
+    raise AssertionError("no edge found")
+
+
+class TestMatchesGenericRoute:
+    """Reading P's implicit equalities off the zero columns of the slack
+    matrix gives the verdicts that dimension(q) and dimension(p) give."""
+
+    def _subsets(self, v, h):
+        n = v.ambient_dim
+        yield v
+        yield PolytopeRep("V", n, v.vectors[1:])
+        yield on_facet(v, h, 0)
+        yield _edge(v, h)
+        yield PolytopeRep("V", n, v.vectors[:1])
+
+    def test_random_faces_and_embeddings(self):
+        r = rng(41)
+        for _ in range(6):
+            v, h = random_polytope(r, max_dim=3, max_vertices=6)
+            for q in self._subsets(v, h):
+                for qq, pp in ((q, h), embed(q, h)):
+                    res = verify_polytope_equality(qq, pp)
+                    dq, dp = dimension(qq), dimension(pp)
+                    # The LP-free vertex route agrees with dimension(p).
+                    verts = PolytopeRep("V", pp.ambient_dim,
+                                        tuple(vertices_of_h_polytope(pp)))
+                    assert dimension(verts) == dp == v.ambient_dim
+                    if dq != dp:
+                        assert res.reason == DIM_MISMATCH
+                        assert res.dims == (dq, dp)
+                    else:
+                        assert res.dims is None
+                        assert res.reason in (EQUAL, SLACK_REJECT)
+                        assert res.equal == (set(q.vectors) == set(v.vectors))
+
+    def test_empty_q_raises(self):
+        with pytest.raises(ValueError):
+            verify_polytope_equality(PolytopeRep("V", 2, ()), SQUARE_FACETS)
