@@ -13,7 +13,7 @@ import sys
 
 from . import combinatorial, formats, recognition, verification
 from .formats import Document, FormatError, document_for
-from .matrix import Matrix
+from .matrix import Matrix, rank
 from .polyhedra import (
     ConeRep,
     PolytopeRep,
@@ -82,8 +82,6 @@ def _cmd_check_polytope(args) -> int:
     res = recognition.is_polytope_slack(m)
     _save_certificate(args, res.certificate)
     if args.oracle:
-        from .matrix import rank
-
         if rank(m) >= 2:
             other = recognition.affine_criterion_check(m)
             if other != res.verdict:

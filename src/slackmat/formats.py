@@ -118,6 +118,14 @@ def _counts(tokens: list[str], n: int, lineno: int) -> list[int]:
 
 def parse(text: str) -> Document:
     r = _Reader(text)
+    doc = _parse_document(r)
+    if r.peek() is not None:
+        _, no = r.next_line("trailing data")
+        raise FormatError("unexpected data after the %s document" % doc.kind, no)
+    return doc
+
+
+def _parse_document(r: _Reader) -> Document:
     header, no = r.next_line("header")
     toks = header.split()
     kind = toks[0]

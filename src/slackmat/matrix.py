@@ -81,10 +81,6 @@ class Matrix:
         return cls([[Fraction(0)] * q for _ in range(p)], cols=q)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence], cols: int | None = None) -> "Matrix":
-        return cls(rows, cols=cols)
-
-    @classmethod
     def from_cols(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
         columns = [vec(c) for c in columns]
         if columns:

@@ -40,8 +40,6 @@ from .matrix import (
     vscale,
     vsub,
 )
-from . import lp
-from .lp import con
 from .polyhedra import (
     ConeRep,
     PolytopeRep,
@@ -328,22 +326,21 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
     """Polytope P with 0 interior realizing a positive multiple of m, whose
     polar realizes the transpose.
 
-    Requires both m and its transpose to be polytope slack matrices.  Scales
-    m so the all-ones vector is a convex combination of the rows, subtracts
-    the all-ones matrix and rank-factorizes the difference.
+    Requires both m and its transpose to be polytope slack matrices, decided
+    by one recognition of m: the CCGC of m^T follows from that of m (the cone
+    slack matrices of K and K* are transposes) and rank(m^T) = rank(m), so
+    only the all-ones vector in the row span is left, one solve nu m = 1.
+    Any y with y m = 1 has sum(y) = y m mu = 1 . mu, so alpha = sum(nu) is
+    the scale making 1 a convex combination of the rows of alpha m.
+    Subtracts the all-ones matrix and rank-factorizes the difference.
     """
     if not is_polytope_slack(m).verdict:
         raise ValueError("matrix is not a polytope slack matrix")
-    if not is_polytope_slack(m.transpose()).verdict:
+    nu = solve_linear(m.transpose(), ones(m.cols))
+    if nu is None:
         raise ValueError("transpose is not a polytope slack matrix")
-    p, q = m.rows, m.cols
-    constraints = [
-        con(m.col(j), lp.EQ, 1) for j in range(q)
-    ] + [con(unit(p, i), lp.GE, 0) for i in range(p)]
-    out = lp.lp_solve([0] * p, constraints, sense="min")
-    assert out.status == lp.OPTIMAL
-    y = out.point
-    alpha = sum(y, Fraction(0))
+    q = m.cols
+    alpha = sum(nu, Fraction(0))
     scaled = Matrix([[alpha * x for x in row] for row in m.data], cols=q)
     diff = Matrix([[x - 1 for x in row] for row in scaled.data], cols=q)
     a, b = rank_factorization(diff)

@@ -5,8 +5,9 @@ from itertools import combinations
 
 import sympy
 
-from slackmat import Matrix, canonical_ray
-from slackmat.matrix import dot, is_zero_vec, right_kernel_basis
+from slackmat import Matrix, canonical_ray, is_polytope_slack
+from slackmat.lp import EQ, GE, OPTIMAL, con, lp_solve
+from slackmat.matrix import dot, is_zero_vec, right_kernel_basis, unit
 
 
 def sympy_rank(m: Matrix) -> int:
@@ -54,3 +55,18 @@ def in_convex_hull(point, points):
             if a * sol == target and all(v >= 0 for v in sol):
                 return True
     return False
+
+
+def polar_scale_reference(m: Matrix):
+    """Scale of the polar realization by the two-recognition route: None
+    unless m and its transpose are both recognized as polytope slack
+    matrices, else sum(y) for an LP solution y >= 0 of y m = 1."""
+    if not (is_polytope_slack(m).verdict
+            and is_polytope_slack(m.transpose()).verdict):
+        return None
+    p = m.rows
+    constraints = [con(m.col(j), EQ, 1) for j in range(m.cols)]
+    constraints += [con(unit(p, i), GE, 0) for i in range(p)]
+    out = lp_solve([0] * p, constraints, sense="min")
+    assert out.status == OPTIMAL
+    return sum(out.point, F(0))

@@ -55,6 +55,12 @@ class TestCheckCommands:
         assert run(["check-cone", str(f)]) == 2
         assert "end of input" in capsys.readouterr().err
 
+    def test_rows_past_header_count_are_input_error(self, tmp_path, capsys):
+        f = tmp_path / "long.matrix"
+        f.write_text("MATRIX 1 2\n1 2\n3 4\n")
+        assert run(["check-cone", str(f)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_check_cone_transpose_of_prism(self, tmp_path):
         f = write_doc(tmp_path / "mt.matrix", PRISM.transpose())
         assert run(["check-cone", f, "--quiet"]) == 0
@@ -119,6 +125,15 @@ class TestVerify:
         fh = write_doc(tmp_path / "s.ine", SQUARE_FACETS)
         assert run(["verify", "--vrep", fv, "--hrep", fh]) == 1
         assert "not-equal" in capsys.readouterr().out
+
+    def test_point_past_header_count_is_input_error(self, tmp_path, capsys):
+        # The fourth vertex would make the pair equal if it were read.
+        fv = tmp_path / "s.ext"
+        fv.write_text(serialize(document_for(SQUARE_VERTICES))
+                      .replace("POLY_V 4 2", "POLY_V 3 2"))
+        fh = write_doc(tmp_path / "s.ine", SQUARE_FACETS)
+        assert run(["verify", "--vrep", str(fv), "--hrep", fh]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestOtherCommands:

@@ -58,6 +58,17 @@ class TestParse:
         with pytest.raises(FormatError, match="line 2"):
             parse("MATRIX 1000000000 0\n")
 
+    def test_rows_past_the_header_count_are_rejected(self):
+        with pytest.raises(FormatError, match="line 3"):
+            parse("MATRIX 1 2\n1 2\n3 4\n")
+
+    def test_point_past_the_header_count_is_rejected(self):
+        with pytest.raises(FormatError, match="line 4"):
+            parse("POLY_V 2 1\n0\n1\n2\n")
+
+    def test_trailing_blank_lines_are_accepted(self):
+        assert parse("MATRIX 1 1\n5\n\n  \n").payload == Matrix([[5]])
+
 
 class TestSerialize:
     def test_identity(self):

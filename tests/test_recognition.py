@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from slackmat import (
     Matrix,
+    PolytopeRep,
     affine_criterion_check,
     ccgc_check,
     cone_check_via_polytope,
@@ -33,6 +34,8 @@ from slackmat.recognition import (
     polar_realization,
 )
 
+from oracles import polar_scale_reference
+from randgen import random_nonneg_matrix, random_polytope, rng
 from golden import (
     COUNTEREXAMPLE,
     PRISM,
@@ -294,6 +297,29 @@ class TestConeCheckViaPolytope:
         assert is_cone_slack(padded).verdict
 
 
+def _centred_slack(v, h):
+    """Slack matrix of (v, h) with every facet scaled to slack one at the
+    vertex centroid, so the rows average to the all-ones vector."""
+    n = v.ambient_dim
+    c = [sum(p[j] for p in v.vectors) / len(v.vectors) for j in range(n)]
+    rows = []
+    for row in h.vectors:
+        s = row[0] - sum(a * x for a, x in zip(row[1:], c))
+        rows.append(tuple(x / s for x in row))
+    return slack_of_polytope(v, PolytopeRep("H", n, tuple(rows)))
+
+
+def _column_scaled(r, m):
+    d = [F(r.randint(1, 5), r.randint(1, 3)) for _ in range(m.cols)]
+    return Matrix([[x * dj for x, dj in zip(row, d)] for row in m.data],
+                  cols=m.cols)
+
+
+# The 0/1 cube's facets scaled to slack one at its centre (1/2, 1/2, 1/2).
+CUBE3_CENTRED = Matrix([[2 * x for x in row] for row in cube_slack(3).data],
+                       cols=6)
+
+
 class TestPolarRealization:
     def test_scaled_prism_polar_is_bisimplex(self):
         p, scale = polar_realization(PRISM_SCALED)
@@ -308,6 +334,61 @@ class TestPolarRealization:
     def test_unscaled_prism_rejected(self):
         with pytest.raises(ValueError):
             polar_realization(PRISM)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count is_polytope_slack, dd_h_to_v and lp_solve calls at every
+        slackmat module binding."""
+        counts = {}
+        for target in (is_polytope_slack, polyhedra.dd_h_to_v, lp.lp_solve):
+            name = target.__name__
+            counts[name] = 0
+
+            def counting(*args, _f=target, _n=name, **kwargs):
+                counts[_n] += 1
+                return _f(*args, **kwargs)
+
+            for n, mod in list(sys.modules.items()):
+                if n == "slackmat" or n.startswith("slackmat."):
+                    for attr, value in list(vars(mod).items()):
+                        if value is target:
+                            monkeypatch.setattr(mod, attr, counting)
+        return counts
+
+    @pytest.mark.parametrize("m", [
+        PRISM_SCALED, Matrix.identity(3), CUBE3_CENTRED,
+    ], ids=["prism-scaled", "identity3", "cube3-centred"])
+    def test_one_recognition_one_dd_no_lp(self, calls, m):
+        _, scale = polar_realization(m)
+        assert scale > 0
+        assert calls == {"is_polytope_slack": 1, "dd_h_to_v": 1,
+                         "lp_solve": 0}
+
+    def test_unscaled_prism_transpose_rejected(self, calls):
+        with pytest.raises(ValueError, match="transpose"):
+            polar_realization(PRISM)
+        assert calls == {"is_polytope_slack": 1, "dd_h_to_v": 1,
+                         "lp_solve": 0}
+
+    def test_matches_two_recognition_route(self):
+        r = rng(4)
+        inputs = []
+        for _ in range(12):
+            v, h = random_polytope(r, max_dim=3, max_vertices=7)
+            for m in (slack_of_polytope(v, h), _centred_slack(v, h)):
+                inputs += [m, _column_scaled(r, m)]
+        inputs += [random_nonneg_matrix(r) for _ in range(40)]
+        realized = 0
+        for m in inputs:
+            alpha = polar_scale_reference(m)
+            if alpha is None:
+                with pytest.raises(ValueError):
+                    polar_realization(m)
+            else:
+                _, scale = polar_realization(m)
+                assert scale == alpha
+                realized += 1
+        assert 0 < realized < len(inputs)
 
 
 class TestProperties:
