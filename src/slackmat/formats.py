@@ -1,13 +1,15 @@
 """Deterministic text formats for matrices, representations and certificates.
 
 Header-first plain text: a kind line with dimensions, then whitespace
-separated rows of rationals written as ``a`` or ``a/b``.  Serialization is
-canonical (reduced fractions, single spaces, LF, newline-terminated), so
-files are diff-able and parse/serialize round-trips are exact.
+separated rows of rationals written as ``a`` or ``a/b`` in ASCII digits,
+with an optional sign on ``a`` only.  Serialization is canonical (reduced
+fractions, single spaces, LF, newline-terminated), so files are diff-able
+and parse/serialize round-trips are exact.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,6 +26,10 @@ POLY_H = "POLY_H"
 CERT = "CERT"
 
 KINDS = (MATRIX, CONE_V, CONE_H, POLY_V, POLY_H, CERT)
+
+# ASCII digits only: int() alone would also take "1_0" and non-ASCII digits.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_COUNT = re.compile(r"[0-9]+")
 
 
 class FormatError(ValueError):
@@ -47,20 +53,16 @@ def _fmt_row(row: Sequence[Fraction]) -> str:
 
 
 def _parse_rational(tok: str, lineno: int) -> Fraction:
-    if "/" in tok:
-        num, _, den = tok.partition("/")
-        try:
-            n = int(num)
-            d = int(den)
-        except ValueError:
-            raise FormatError("bad rational %r" % tok, lineno)
-        if d == 0:
-            raise FormatError("zero denominator in %r" % tok, lineno)
-        return Fraction(n, d)
-    try:
-        return Fraction(int(tok))
-    except ValueError:
+    m = _RATIONAL.fullmatch(tok)
+    if m is None:
         raise FormatError("bad rational %r" % tok, lineno)
+    try:
+        n, d = int(m[1]), int(m[2] or 1)
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise FormatError("bad rational %r" % tok, lineno)
+    if d == 0:
+        raise FormatError("zero denominator in %r" % tok, lineno)
+    return Fraction(n, d)
 
 
 class _Reader:
@@ -107,13 +109,12 @@ class _Reader:
 def _counts(tokens: list[str], n: int, lineno: int) -> list[int]:
     if len(tokens) != n:
         raise FormatError("expected %d header numbers" % n, lineno)
-    try:
-        vals = [int(t) for t in tokens]
-    except ValueError:
+    if not all(_COUNT.fullmatch(t) for t in tokens):
         raise FormatError("bad header number", lineno)
-    if any(v < 0 for v in vals):
-        raise FormatError("negative header number", lineno)
-    return vals
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise FormatError("bad header number", lineno)
 
 
 def parse(text: str) -> Document:

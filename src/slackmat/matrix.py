@@ -27,10 +27,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -169,9 +165,6 @@ class Matrix:
         return Matrix(
             [[self.data[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx)
         )
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.data]
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:

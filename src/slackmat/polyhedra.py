@@ -9,7 +9,9 @@ Conventions:
 
 The double-description run inserts inequalities in input order, keeping a
 basis of the current lineality space alongside the extreme rays of the
-pointed quotient; ray adjacency is decided by an exact rank test.
+pointed quotient.  Each ray carries its zero set, a bitmask of the inserted
+rows it is tight on, and ray adjacency is the combinatorial test of Fukuda
+and Prodon on those sets, with no rank computation.
 """
 
 from __future__ import annotations
@@ -132,44 +134,35 @@ def dd_h_to_v(h: ConeRep) -> ConeRep:
         raise ValueError("expected H-form cone")
     n = h.ambient_dim
     lin: list[Vec] = [unit(n, i) for i in range(n)]
-    rays: list[Vec] = []
-    inserted: list[Vec] = []
-    for b in h.vectors:
+    # (ray, zero set): bit k of the zero set is set iff row k is tight on it.
+    rays: list[tuple[Vec, int]] = []
+    for k, b in enumerate(h.vectors):
+        bit = 1 << k
         vals = [dot(b, w) for w in lin]
-        if any(x != 0 for x in vals):
+        if any(vals):
             i0 = next(i for i, x in enumerate(vals) if x != 0)
             v0 = vscale(Fraction(1) / vals[i0], lin[i0])  # b.v0 == 1
-            lin = [
-                vsub(w, vscale(dot(b, w), v0))
-                for i, w in enumerate(lin)
-                if i != i0
-            ]
-            rays = [vsub(r, vscale(dot(b, r), v0)) for r in rays]
-            rays = [canonical_ray(r) for r in rays if not is_zero_vec(r)]
-            rays.append(canonical_ray(v0))
+            lin = [vsub(w, vscale(x, v0)) for i, (w, x) in enumerate(zip(lin, vals))
+                   if i != i0]
+            rays = [(vsub(r, vscale(dot(b, r), v0)), z | bit) for r, z in rays]
+            rays = [(canonical_ray(r), z) for r, z in rays if not is_zero_vec(r)]
+            rays.append((canonical_ray(v0), bit - 1))  # tight on every earlier row
         else:
-            pos = [r for r in rays if dot(b, r) > 0]
-            neg = [r for r in rays if dot(b, r) < 0]
-            zero = [r for r in rays if dot(b, r) == 0]
-            if neg:
-                target = n - len(lin) - 2
-                new_rays = pos + zero
-                for rm in neg:
-                    for rp in pos:
-                        tight = [
-                            a for a in inserted
-                            if dot(a, rm) == 0 and dot(a, rp) == 0
-                        ]
-                        if rank(Matrix(tight, cols=n)) == target:
-                            comb = vsub(
-                                vscale(dot(b, rp), rm), vscale(dot(b, rm), rp)
-                            )
-                            new_rays.append(canonical_ray(comb))
-                rays = new_rays
-        inserted.append(b)
+            signed = [(dot(b, r), r, z) for r, z in rays]
+            rays = [(r, z | bit if s == 0 else z) for s, r, z in signed if s >= 0]
+            # Extreme rays have distinct zero sets, and two of them are
+            # adjacent iff no third one's zero set contains their common one.
+            zs = [z for _, _, z in signed]
+            pos = [t for t in signed if t[0] > 0]
+            for sm, rm, zm in (t for t in signed if t[0] < 0):
+                for sp, rp, zp in pos:
+                    common = zm & zp
+                    if all(z & common != common for z in zs if z != zm and z != zp):
+                        comb = vsub(vscale(sp, rm), vscale(sm, rp))
+                        rays.append((canonical_ray(comb), common | bit))
     lin_basis = _lineality_rref_basis(lin, n) if lin else ()
     out = []
-    for r in rays:
+    for r, _ in rays:
         pr = _project_off(r, lin_basis)
         if not is_zero_vec(pr):
             out.append(canonical_ray(pr))
@@ -204,10 +197,11 @@ def minimal_vrep(v: ConeRep) -> ConeRep:
 
 
 def lineality_and_pointedness(c: ConeRep) -> tuple[int, bool]:
-    if c.form == "H":
-        d = c.ambient_dim - rank(Matrix(c.vectors, cols=c.ambient_dim))
-    else:
-        d = len(minimal_vrep(c).lineality)
+    """Lineality dimension, and whether it is zero.  The lineality space of
+    {x : b.x >= 0} is the kernel of its normals, so a V-cone takes one DD to
+    an H-form first."""
+    h = c if c.form == "H" else dd_v_to_h(c)
+    d = h.ambient_dim - rank(Matrix(h.vectors, cols=h.ambient_dim))
     return d, d == 0
 
 

@@ -5,9 +5,19 @@ from itertools import combinations
 
 import sympy
 
-from slackmat import Matrix, canonical_ray, is_polytope_slack
+from slackmat import ConeRep, Matrix, canonical_ray, is_polytope_slack
 from slackmat.lp import EQ, GE, OPTIMAL, con, lp_solve
-from slackmat.matrix import dot, is_zero_vec, right_kernel_basis, unit
+from slackmat.matrix import (
+    Vec,
+    dot,
+    is_zero_vec,
+    rank,
+    right_kernel_basis,
+    unit,
+    vscale,
+    vsub,
+)
+from slackmat.polyhedra import _lineality_rref_basis, _project_off
 
 
 def sympy_rank(m: Matrix) -> int:
@@ -70,3 +80,61 @@ def polar_scale_reference(m: Matrix):
     out = lp_solve([0] * p, constraints, sense="min")
     assert out.status == OPTIMAL
     return sum(out.point, F(0))
+
+
+def dd_h_to_v_rank_reference(h: ConeRep) -> ConeRep:
+    """Double description with the exact rank test for ray adjacency: a
+    negative and a positive ray are adjacent iff the inserted rows tight on
+    both have rank n - dim(lineality) - 2.  Same output contract as
+    `dd_h_to_v`.
+
+    Output rays are canonical, live in the orthogonal complement of the
+    lineality space, and are sorted; the lineality basis is in RREF.
+    """
+    if h.form != "H":
+        raise ValueError("expected H-form cone")
+    n = h.ambient_dim
+    lin: list[Vec] = [unit(n, i) for i in range(n)]
+    rays: list[Vec] = []
+    inserted: list[Vec] = []
+    for b in h.vectors:
+        vals = [dot(b, w) for w in lin]
+        if any(x != 0 for x in vals):
+            i0 = next(i for i, x in enumerate(vals) if x != 0)
+            v0 = vscale(F(1) / vals[i0], lin[i0])  # b.v0 == 1
+            lin = [
+                vsub(w, vscale(dot(b, w), v0))
+                for i, w in enumerate(lin)
+                if i != i0
+            ]
+            rays = [vsub(r, vscale(dot(b, r), v0)) for r in rays]
+            rays = [canonical_ray(r) for r in rays if not is_zero_vec(r)]
+            rays.append(canonical_ray(v0))
+        else:
+            pos = [r for r in rays if dot(b, r) > 0]
+            neg = [r for r in rays if dot(b, r) < 0]
+            zero = [r for r in rays if dot(b, r) == 0]
+            if neg:
+                target = n - len(lin) - 2
+                new_rays = pos + zero
+                for rm in neg:
+                    for rp in pos:
+                        tight = [
+                            a for a in inserted
+                            if dot(a, rm) == 0 and dot(a, rp) == 0
+                        ]
+                        if rank(Matrix(tight, cols=n)) == target:
+                            comb = vsub(
+                                vscale(dot(b, rp), rm), vscale(dot(b, rm), rp)
+                            )
+                            new_rays.append(canonical_ray(comb))
+                rays = new_rays
+        inserted.append(b)
+    lin_basis = _lineality_rref_basis(lin, n) if lin else ()
+    out = []
+    for r in rays:
+        pr = _project_off(r, lin_basis)
+        if not is_zero_vec(pr):
+            out.append(canonical_ray(pr))
+    out = sorted(set(out))
+    return ConeRep("V", n, tuple(out), lin_basis)

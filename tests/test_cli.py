@@ -61,6 +61,13 @@ class TestCheckCommands:
         assert run(["check-cone", str(f)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["MATRIX 1 2\n1_0 \u0663\n", "MATRIX 1_0 1\n" + "1\n" * 10])
+    def test_non_ascii_numbers_are_input_error(self, tmp_path, capsys, text):
+        f = tmp_path / "odd.matrix"
+        f.write_text(text, encoding="utf-8")
+        assert run(["check-cone", str(f)]) == 2
+        assert "bad " in capsys.readouterr().err
+
     def test_check_cone_transpose_of_prism(self, tmp_path):
         f = write_doc(tmp_path / "mt.matrix", PRISM.transpose())
         assert run(["check-cone", f, "--quiet"]) == 0

@@ -69,6 +69,28 @@ class TestParse:
     def test_trailing_blank_lines_are_accepted(self):
         assert parse("MATRIX 1 1\n5\n\n  \n").payload == Matrix([[5]])
 
+    @pytest.mark.parametrize("text", [
+        "MATRIX 1 2\n1_0 3\n",          # int() reads "1_0" as 10
+        "MATRIX 1 2\n10 \u0663\n",     # ARABIC-INDIC DIGIT THREE
+        "MATRIX 1 1\n1/1_0\n",
+        "MATRIX 1 1\n1/\u0663\n",
+        "MATRIX 1 1\n1/-3\n",
+        "MATRIX 1 1\n1/+3\n",
+        "MATRIX 1 1\n\uff13\n",            # FULLWIDTH DIGIT THREE
+    ])
+    def test_only_ascii_rationals(self, text):
+        with pytest.raises(FormatError, match="line 2: bad rational"):
+            parse(text)
+
+    @pytest.mark.parametrize("header", ["MATRIX 1_0 1", "MATRIX 1 \u0661", "MATRIX +1 1",
+                                        "MATRIX -1 1", "CONE_H 1 1_0"])
+    def test_only_ascii_header_counts(self, header):
+        with pytest.raises(FormatError, match="line 1: bad header number"):
+            parse(header + "\n" + "1\n" * 10)
+
+    def test_signed_numerators(self):
+        assert parse("MATRIX 1 3\n+1 -2/4 -0\n").payload == Matrix([[1, F(-1, 2), 0]])
+
 
 class TestSerialize:
     def test_identity(self):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -38,7 +39,7 @@ from golden import (
     SQUARE_HOMOG_B,
     SQUARE_VERTICES,
 )
-from oracles import brute_force_rays
+from oracles import brute_force_rays, dd_h_to_v_rank_reference
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -137,6 +138,16 @@ class TestLinealityAndPointedness:
 
     def test_prism_homogenization(self):
         assert lineality_and_pointedness(dd_v_to_h(homogenize(PRISM_VERTICES))) == (0, True)
+
+    def test_v_cone_matches_minimal_vrep(self):
+        r = random.Random(5)
+        for _ in range(60):
+            n = r.randint(1, 4)
+            gens = tuple(tuple(r.randint(-2, 2) for _ in range(n))
+                         for _ in range(r.randint(0, 5)))
+            c = ConeRep("V", n, gens)
+            d = len(minimal_vrep(c).lineality)
+            assert lineality_and_pointedness(c) == (d, d == 0)
 
 
 class TestHomogenize:
@@ -280,3 +291,35 @@ class TestDoubleDescriptionProperties:
         if v.lineality:
             return
         assert set(v.vectors) == brute_force_rays(h.vectors, h.ambient_dim)
+
+
+def degenerate_h_cone(r):
+    """Random H-cone in R^2..R^6 with up to 12 small-integer rows, plus
+    duplicate, positively scaled and zero rows, so that many rays share
+    tight rows and the cone is often not pointed."""
+    n = r.randint(2, 6)
+    rows = [tuple(r.randint(-2, 2) for _ in range(n)) for _ in range(r.randint(1, 12))]
+    for _ in range(r.randint(0, 3)):
+        kind = r.choice(("duplicate", "scaled", "zero"))
+        if kind == "duplicate":
+            row = r.choice(rows)
+        elif kind == "scaled":
+            c = F(r.randint(1, 3), r.randint(1, 3))
+            row = tuple(c * x for x in r.choice(rows))
+        else:
+            row = (0,) * n
+        rows.insert(r.randrange(len(rows) + 1), row)
+    return ConeRep("H", n, tuple(rows))
+
+
+class TestCombinatorialAdjacency:
+    """Zero-set adjacency gives the same output as the rank test it
+    replaced, on cones far more degenerate than the properties above."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_rank_adjacency_reference(self, seed):
+        r = random.Random(seed)
+        for _ in range(250):
+            h = degenerate_h_cone(r)
+            got, want = dd_h_to_v(h), dd_h_to_v_rank_reference(h)
+            assert (got.vectors, got.lineality) == (want.vectors, want.lineality), h

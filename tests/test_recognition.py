@@ -22,9 +22,9 @@ from slackmat import (
     slack_of_polytope,
     verify_no_certificate,
 )
-from slackmat import lp, polyhedra
+from slackmat import lp, matrix, polyhedra
 from slackmat.matrix import rank
-from slackmat.polyhedra import minimal_vrep
+from slackmat.polyhedra import facet_inequalities, minimal_vrep
 from slackmat.recognition import (
     NoCertificate,
     ONES_NOT_IN_SPAN,
@@ -88,8 +88,16 @@ def cube_slack(k):
     )
 
 
+def cyclic_slack(n, d):
+    """Slack matrix of the cyclic polytope C(n, d), points (t, .., t^d)."""
+    v = PolytopeRep("V", d, tuple(tuple(F(t) ** k for k in range(1, d + 1))
+                                  for t in range(1, n + 1)))
+    return slack_of_polytope(v, facet_inequalities(v))
+
+
 CUBE5 = cube_slack(5)
 CUBE5_MINUS_FACET = CUBE5.submatrix(range(CUBE5.rows), range(1, CUBE5.cols))
+C85 = cyclic_slack(8, 5)
 
 
 class TestRankCoordinates:
@@ -137,6 +145,45 @@ class TestRankCoordinates:
             assert dd_dims == ([r] if reaches_ccgc else [])
             if not verdict:
                 assert verify_no_certificate(m, res.certificate)
+
+
+class TestCombinatorialAdjacency:
+    """Ray adjacency inside the DD is decided on zero sets, not by rank."""
+
+    @pytest.fixture
+    def calls_in_dd(self, monkeypatch):
+        dd_h_to_v, counted = polyhedra.dd_h_to_v, (matrix.rank, matrix.rref)
+        depth, calls = [0], []
+
+        def inside(h):
+            calls.append("dd_h_to_v")
+            depth[0] += 1
+            try:
+                return dd_h_to_v(h)
+            finally:
+                depth[0] -= 1
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                if depth[0]:
+                    calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        mods = [m for n, m in sys.modules.items()
+                if n == "slackmat" or n.startswith("slackmat.")]
+        for mod in mods:
+            for name, value in list(vars(mod).items()):
+                if value is dd_h_to_v:
+                    monkeypatch.setattr(mod, name, inside)
+                elif any(value is fn for fn in counted):
+                    monkeypatch.setattr(mod, name, counting(value))
+        return calls
+
+    @pytest.mark.parametrize("m", [CUBE5, C85], ids=["cube5", "cyclic8-5"])
+    def test_no_rank_or_rref_inside_dd(self, calls_in_dd, m):
+        assert ccgc_check(m).verdict
+        assert calls_in_dd == ["dd_h_to_v"]
 
 
 class TestIsConeSlack:

@@ -1,16 +1,16 @@
-"""Smoke tests: the example and survey scripts run from a plain checkout."""
+"""Smoke tests: the example, survey and benchmark self-test scripts run
+from a plain checkout."""
 
 import os
 import subprocess
 import sys
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                       "scripts")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
-def run_script(name, *args):
+def run_script(name, *args, folder="scripts"):
     return subprocess.run(
-        [sys.executable, os.path.join(SCRIPTS, name), *args],
+        [sys.executable, os.path.join(ROOT, folder, name), *args],
         capture_output=True, text=True, timeout=120,
     )
 
@@ -25,3 +25,12 @@ def test_random_survey():
     out = run_script("random_survey.py", "--count", "40", "--seed", "0")
     assert out.returncode == 0, out.stderr
     assert "disagreements:       0" in out.stdout
+
+
+def test_benchmark_selftest():
+    # Two traced runs in separate processes: counters must agree, and
+    # outputs must match with the tracer's patches on and off.
+    out = run_script("selftest.py", "--workload", "families", "--seed", "0",
+                     "--seconds", "1", folder="perfbench")
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "selftest families: ok" in out.stdout
