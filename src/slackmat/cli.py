@@ -9,6 +9,7 @@ uses 0/1.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import combinatorial, formats, recognition, verification
@@ -202,6 +203,7 @@ def _cmd_verify_cert(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # argparse setup costs more than a small recognition
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="slackmat",

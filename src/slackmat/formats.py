@@ -44,24 +44,25 @@ class Document:
     payload: object
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x)  # Fraction prints reduced, "a" or "a/b"
-
-
 def _fmt_row(row: Sequence[Fraction]) -> str:
-    return " ".join(_fmt(x) for x in row)
+    return " ".join(str(x) for x in row)  # Fraction prints reduced, "a" or "a/b"
+
+
+def _shown(tok: str) -> str:
+    """A token quoted for an error message, cut short when it is long."""
+    return repr(tok) if len(tok) <= 40 else repr(tok[:40]) + "..."
 
 
 def _parse_rational(tok: str, lineno: int) -> Fraction:
     m = _RATIONAL.fullmatch(tok)
     if m is None:
-        raise FormatError("bad rational %r" % tok, lineno)
+        raise FormatError("bad rational %s" % _shown(tok), lineno)
     try:
         n, d = int(m[1]), int(m[2] or 1)
     except ValueError:  # past the interpreter's limit on integer digits
-        raise FormatError("bad rational %r" % tok, lineno)
+        raise FormatError("bad rational %s" % _shown(tok), lineno)
     if d == 0:
-        raise FormatError("zero denominator in %r" % tok, lineno)
+        raise FormatError("zero denominator in %s" % _shown(tok), lineno)
     return Fraction(n, d)
 
 
@@ -131,7 +132,7 @@ def _parse_document(r: _Reader) -> Document:
     toks = header.split()
     kind = toks[0]
     if kind not in KINDS:
-        raise FormatError("unknown document kind %r" % kind, no)
+        raise FormatError("unknown document kind %s" % _shown(kind), no)
     if kind == MATRIX:
         p, q = _counts(toks[1:], 2, no)
         rows = r.read_rows(p, q, "matrix")
@@ -140,7 +141,7 @@ def _parse_document(r: _Reader) -> Document:
         count, n = _counts(toks[1:], 2, no)
         rows = r.read_rows(count, n, "cone")
         lineality: list[Vec] = []
-        if kind == CONE_V and r.peek() and r.peek().startswith("LINEALITY"):
+        if kind == CONE_V and r.peek() and r.peek().split()[0] == "LINEALITY":
             line, no2 = r.next_line("lineality header")
             (k,) = _counts(line.split()[1:], 1, no2)
             lineality = r.read_rows(k, n, "lineality")
@@ -175,7 +176,7 @@ def _parse_cert(r: _Reader, toks: list[str], no: int):
             elif label == "SEPARATOR":
                 separator = values
             else:
-                raise FormatError("unknown certificate row %r" % label, no2)
+                raise FormatError("unknown certificate row %s" % _shown(label), no2)
         return NoCertificate(reason, convention, witness, separator)
     if len(toks) != 2:
         raise FormatError("CERT YES takes no extra header fields", no)
@@ -193,7 +194,7 @@ def _parse_cert(r: _Reader, toks: list[str], no: int):
     b = Matrix(r.read_rows(k2, q, "B"), cols=q)
     mu = None
     polytope = None
-    if r.peek() is not None and r.peek().startswith("MU"):
+    if r.peek() is not None and r.peek().split()[0] == "MU":
         line, no4 = r.next_line("MU row")
         parts = line.split()
         mu = tuple(_parse_rational(t, no4) for t in parts[1:])

@@ -76,15 +76,6 @@ class Matrix:
     def zero(cls, p: int, q: int) -> "Matrix":
         return cls([[Fraction(0)] * q for _ in range(p)], cols=q)
 
-    @classmethod
-    def from_cols(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        columns = [vec(c) for c in columns]
-        if columns:
-            return cls(zip(*columns), cols=len(columns))
-        if rows is None:
-            raise ValueError("empty matrix needs an explicit row count")
-        return cls([[] for _ in range(rows)] if rows else [], cols=0)
-
     def row(self, i: int) -> Vec:
         return self.data[i]
 

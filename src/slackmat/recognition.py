@@ -9,7 +9,8 @@ two and the all-ones vector lies in its column span.
 The test runs in the coordinates of one rank factorization M = A B: the CCGC
 holds iff every extreme ray of the pointed cone {y : A y >= 0} is a positive
 multiple of a column of B.  An unmatched ray is refuted by a separator
-written down in closed form, without a second cone conversion.
+written down in closed form, without a second cone conversion.  M itself is
+eliminated only once: every later solve works on A (injective) or B (RREF).
 
 Every verdict ships a certificate: an exact rank factorization on yes, a
 point-and-separator witness (or a span/rank witness for the polytope-only
@@ -27,7 +28,6 @@ from .matrix import (
     Matrix,
     Vec,
     dot,
-    inverse,
     is_zero_vec,
     left_kernel_basis,
     ones,
@@ -167,17 +167,18 @@ def is_polytope_slack(m: Matrix) -> RecognitionResult:
     if a.cols < 2:
         cert = NoCertificate(RANK_TOO_SMALL)
         return RecognitionResult(False, KIND_POLYTOPE, cert)
-    mu = solve_linear(m, ones(m.rows))
-    if mu is None:
-        z = next(
-            z for z in left_kernel_basis(m) if dot(z, ones(m.rows)) != 0
-        )
+    # b is onto: a c = 1 is solvable iff m mu = 1 is, and z m = 0 iff z a = 0.
+    c = solve_linear(a, ones(m.rows))
+    if c is None:
+        z = next(z for z in left_kernel_basis(a)
+                 if dot(z, ones(m.rows)) != 0)
         cert = NoCertificate(ONES_NOT_IN_SPAN, witness=z)
         return RecognitionResult(False, KIND_POLYTOPE, cert)
     base = _ccgc_with_factors(m, a, b)
     if not base.verdict:
         return RecognitionResult(False, KIND_POLYTOPE, base.certificate)
-    v, h, a2, b2 = _reconstruct_with_factors(m, (a, b), mu)
+    mu = solve_linear(b, c)  # b is in RREF: mu is c on the pivot columns
+    v, h, a2, b2 = _reconstruct_with_factors(m, a, b, c)
     cert = YesCertificate(a=a2, b=b2, mu=mu, polytope=(v, h))
     return RecognitionResult(True, KIND_POLYTOPE, cert)
 
@@ -227,16 +228,15 @@ def reconstruct_cone(m: Matrix) -> tuple[ConeRep, ConeRep]:
     return v, h
 
 
-def _reconstruct_with_factors(m, factors, mu):
-    a, b = factors
+def _reconstruct_with_factors(m, a, b, c):
+    # The basis change U = [c | e_j, j != i0], a c = 1, in closed form: a U is
+    # [1 | a less column i0]; U^-1 b has rows b0 = b_i0 / c_i0, b_j - c_j b0.
     k = a.cols
-    c = b.matvec(mu)  # the unique c with a c = all-ones
     i0 = next(i for i, x in enumerate(c) if x != 0)
-    cols = [c] + [unit(k, j) for j in range(k) if j != i0]
-    u = Matrix.from_cols(cols, rows=k)
-    a2 = a * u
-    b2 = inverse(u) * b
-    assert all(a2[i, 0] == 1 for i in range(a2.rows))
+    a2 = Matrix([(Fraction(1),) + r[:i0] + r[i0 + 1:] for r in a.data], cols=k)
+    b0 = vscale(Fraction(1) / c[i0], b.row(i0))
+    b2 = Matrix([b0] + [vsub(b.row(j), vscale(c[j], b0))
+                        for j in range(k) if j != i0], cols=b.cols)
     pts = tuple(row[1:] for row in a2.data)
     hrows = tuple(
         (b2[0, j],) + tuple(-b2[i, j] for i in range(1, k))
@@ -256,10 +256,10 @@ def reconstruct_polytope(
     """Realizing polytope of a polytope slack matrix.
 
     Change basis in a rank factorization m = a b so the first factor gains an
-    all-ones first column: with mu solving m mu = 1 and c = b mu, the basis
+    all-ones first column: with m mu = 1 and c = b mu (so a c = 1), the basis
     matrix has first column c, completed by standard basis vectors away from
-    the first nonzero coordinate of c.  An explicit factorization may be
-    supplied; the default is the deterministic pivot-column one.
+    the first nonzero coordinate of c, and is applied in closed form.  An
+    explicit factorization may be supplied; the default is the certificate's.
     """
     res = is_polytope_slack(m)
     if not res.verdict:
@@ -269,7 +269,8 @@ def reconstruct_polytope(
     a, b = factors
     if a * b != m or a.cols != res.certificate.a.cols:
         raise ValueError("supplied factors are not a rank factorization")
-    v, h, _, _ = _reconstruct_with_factors(m, (a, b), res.certificate.mu)
+    c = b.matvec(res.certificate.mu)
+    v, h, _, _ = _reconstruct_with_factors(m, a, b, c)
     return v, h
 
 
@@ -329,21 +330,26 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
     Requires both m and its transpose to be polytope slack matrices, decided
     by one recognition of m: the CCGC of m^T follows from that of m (the cone
     slack matrices of K and K* are transposes) and rank(m^T) = rank(m), so
-    only the all-ones vector in the row span is left, one solve nu m = 1.
-    Any y with y m = 1 has sum(y) = y m mu = 1 . mu, so alpha = sum(nu) is
-    the scale making 1 a convex combination of the rows of alpha m.
-    Subtracts the all-ones matrix and rank-factorizes the difference.
+    only the all-ones vector in the row span is left.  In the certificate's
+    factors m = a2 b2, with a2 injective and its first column all ones,
+    nu m = 1 iff w = nu a2 solves w b2 = 1, and alpha = sum(nu) = w[0] makes
+    1 a convex combination of the rows of alpha m (y m = 1 gives sum(y) =
+    1 . mu).  alpha m - J = a2 (alpha b2 - e0 1^T) is factorized on the right.
     """
-    if not is_polytope_slack(m).verdict:
+    res = is_polytope_slack(m)
+    if not res.verdict:
         raise ValueError("matrix is not a polytope slack matrix")
-    nu = solve_linear(m.transpose(), ones(m.cols))
-    if nu is None:
-        raise ValueError("transpose is not a polytope slack matrix")
+    a2, b2 = res.certificate.a, res.certificate.b
     q = m.cols
-    alpha = sum(nu, Fraction(0))
+    w = solve_linear(b2.transpose(), ones(q))
+    if w is None:
+        raise ValueError("transpose is not a polytope slack matrix")
+    alpha = w[0]
     scaled = Matrix([[alpha * x for x in row] for row in m.data], cols=q)
-    diff = Matrix([[x - 1 for x in row] for row in scaled.data], cols=q)
-    a, b = rank_factorization(diff)
+    b3 = Matrix([tuple(alpha * x - 1 for x in b2.row(0))]
+                + [vscale(alpha, row) for row in b2.data[1:]], cols=q)
+    a3, b = rank_factorization(b3)
+    a = a2 * a3
     d = a.cols
     v = PolytopeRep("V", d, tuple(a.data))
     h = PolytopeRep(

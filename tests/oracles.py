@@ -5,19 +5,40 @@ from itertools import combinations
 
 import sympy
 
-from slackmat import ConeRep, Matrix, canonical_ray, is_polytope_slack
+from slackmat import (
+    ConeRep,
+    Matrix,
+    PolytopeRep,
+    canonical_ray,
+    is_polytope_slack,
+    slack_of_polytope,
+)
 from slackmat.lp import EQ, GE, OPTIMAL, con, lp_solve
 from slackmat.matrix import (
     Vec,
     dot,
+    inverse,
     is_zero_vec,
+    left_kernel_basis,
+    ones,
     rank,
+    rank_factorization,
     right_kernel_basis,
+    solve_linear,
     unit,
     vscale,
     vsub,
 )
 from slackmat.polyhedra import _lineality_rref_basis, _project_off
+from slackmat.recognition import (
+    KIND_POLYTOPE,
+    ONES_NOT_IN_SPAN,
+    RANK_TOO_SMALL,
+    NoCertificate,
+    RecognitionResult,
+    YesCertificate,
+    _ccgc_with_factors,
+)
 
 
 def sympy_rank(m: Matrix) -> int:
@@ -138,3 +159,72 @@ def dd_h_to_v_rank_reference(h: ConeRep) -> ConeRep:
             out.append(canonical_ray(pr))
     out = sorted(set(out))
     return ConeRep("V", n, tuple(out), lin_basis)
+
+
+def polytope_slack_wide_reference(m: Matrix) -> RecognitionResult:
+    """`is_polytope_slack` by the wide route: m mu = 1 solved on m itself,
+    the all-ones witness taken from the left kernel of m, and the basis
+    change done by an explicit inverse.  Same output contract."""
+    if not m.is_nonnegative():
+        raise ValueError("matrix has a negative entry")
+    a, b = rank_factorization(m)
+    if a.cols < 2:
+        cert = NoCertificate(RANK_TOO_SMALL)
+        return RecognitionResult(False, KIND_POLYTOPE, cert)
+    mu = solve_linear(m, ones(m.rows))
+    if mu is None:
+        z = next(
+            z for z in left_kernel_basis(m) if dot(z, ones(m.rows)) != 0
+        )
+        cert = NoCertificate(ONES_NOT_IN_SPAN, witness=z)
+        return RecognitionResult(False, KIND_POLYTOPE, cert)
+    base = _ccgc_with_factors(m, a, b)
+    if not base.verdict:
+        return RecognitionResult(False, KIND_POLYTOPE, base.certificate)
+    k = a.cols
+    c = b.matvec(mu)  # the unique c with a c = all-ones
+    i0 = next(i for i, x in enumerate(c) if x != 0)
+    cols = [c] + [unit(k, j) for j in range(k) if j != i0]
+    u = Matrix(zip(*cols), cols=k)
+    a2 = a * u
+    b2 = inverse(u) * b
+    assert all(a2[i, 0] == 1 for i in range(a2.rows))
+    pts = tuple(row[1:] for row in a2.data)
+    hrows = tuple(
+        (b2[0, j],) + tuple(-b2[i, j] for i in range(1, k))
+        for j in range(b2.cols)
+    )
+    v = PolytopeRep("V", k - 1, pts)
+    h = PolytopeRep("H", k - 1, hrows)
+    if slack_of_polytope(v, h) != m:
+        raise AssertionError("reconstruction failed to reproduce the matrix")
+    cert = YesCertificate(a=a2, b=b2, mu=mu, polytope=(v, h))
+    return RecognitionResult(True, KIND_POLYTOPE, cert)
+
+
+def polar_realization_wide_reference(m: Matrix):
+    """`polar_realization` by the wide route: nu m = 1 solved on the
+    transpose of m, alpha = sum(nu), and a second rank factorization of
+    alpha m - J.  Same output contract, same error messages."""
+    if not polytope_slack_wide_reference(m).verdict:
+        raise ValueError("matrix is not a polytope slack matrix")
+    nu = solve_linear(m.transpose(), ones(m.cols))
+    if nu is None:
+        raise ValueError("transpose is not a polytope slack matrix")
+    q = m.cols
+    alpha = sum(nu, F(0))
+    scaled = Matrix([[alpha * x for x in row] for row in m.data], cols=q)
+    diff = Matrix([[x - 1 for x in row] for row in scaled.data], cols=q)
+    a, b = rank_factorization(diff)
+    d = a.cols
+    v = PolytopeRep("V", d, tuple(a.data))
+    h = PolytopeRep(
+        "H", d, tuple((F(1),) + vscale(F(-1), b.col(j)) for j in range(q)),
+    )
+    if slack_of_polytope(v, h) != scaled:
+        raise AssertionError("polar realization failed to reproduce the matrix")
+    pv = PolytopeRep("V", d, tuple(vscale(F(-1), b.col(j)) for j in range(q)))
+    ph = PolytopeRep("H", d, tuple((F(1),) + row for row in a.data))
+    if slack_of_polytope(pv, ph) != scaled.transpose():
+        raise AssertionError("polar slack mismatch")
+    return v, alpha

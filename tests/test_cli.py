@@ -1,7 +1,7 @@
 import pytest
 
 from slackmat import Matrix
-from slackmat.cli import run
+from slackmat.cli import build_parser, run
 from slackmat.formats import document_for, parse, serialize
 
 from golden import (
@@ -68,6 +68,19 @@ class TestCheckCommands:
         assert run(["check-cone", str(f)]) == 2
         assert "bad " in capsys.readouterr().err
 
+    def test_bad_block_label_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cone"
+        path.write_text("CONE_V 1 2\n0 1\nLINEALITYX 1\n1 0\n")
+        assert run(["check-cone", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_huge_numeral_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.matrix"
+        path.write_text("MATRIX 1 1\n%s\n" % ("7" * 5000))
+        assert run(["check-cone", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad rational" in err and len(err) < 80 + len(str(path))
+
     def test_check_cone_transpose_of_prism(self, tmp_path):
         f = write_doc(tmp_path / "mt.matrix", PRISM.transpose())
         assert run(["check-cone", f, "--quiet"]) == 0
@@ -87,6 +100,19 @@ class TestCheckCommands:
     def test_wrong_kind_is_usage_error(self, tmp_path):
         f = write_doc(tmp_path / "v.ext", PRISM_VERTICES)
         assert run(["check-cone", str(f)]) == 2
+
+
+class TestParserReuse:
+    def test_one_parser_serves_many_runs(self, prism_file, capsys):
+        assert build_parser() is build_parser()
+        assert run(["check-polytope", "--quiet", prism_file]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(["check-polytope", prism_file]) == 0
+        assert capsys.readouterr().out == "POLYTOPE-SLACK yes rank=4 dim=3\n"
+        assert run(["check-polytope", "--no-such-flag", prism_file]) == 2
+        assert "usage:" in capsys.readouterr().err
+        assert run(["check-cone", prism_file]) == 0
+        assert capsys.readouterr().out == "CONE-SLACK yes rank=4\n"
 
 
 class TestReconstructAndSlack:

@@ -88,6 +88,24 @@ class TestParse:
         with pytest.raises(FormatError, match="line 1: bad header number"):
             parse(header + "\n" + "1\n" * 10)
 
+    def test_block_labels_match_whole(self):
+        with pytest.raises(FormatError, match="line 3"):
+            parse("CONE_V 1 2\n0 1\nLINEALITYX 1\n1 0\n")
+        text = serialize(document_for(is_polytope_slack(PRISM).certificate))
+        assert "\nMU " in text
+        with pytest.raises(FormatError):
+            parse(text.replace("\nMU ", "\nMUSH "))
+
+    @pytest.mark.parametrize("token, message", [
+        ("1" * 5000, "bad rational"),
+        ("1" * 1000 + "/x", "bad rational"),
+        ("1" * 1000 + "/0", "zero denominator"),
+    ], ids=["past-int-limit", "malformed", "zero-denominator"])
+    def test_huge_token_is_quoted_short(self, token, message):
+        with pytest.raises(FormatError, match=message) as err:
+            parse("MATRIX 1 1\n%s\n" % token)
+        assert len(str(err.value)) < 80
+
     def test_signed_numerators(self):
         assert parse("MATRIX 1 3\n+1 -2/4 -0\n").payload == Matrix([[1, F(-1, 2), 0]])
 

@@ -23,6 +23,7 @@ from slackmat import (
     verify_no_certificate,
 )
 from slackmat import lp, matrix, polyhedra
+from slackmat.formats import document_for, serialize
 from slackmat.matrix import rank
 from slackmat.polyhedra import facet_inequalities, minimal_vrep
 from slackmat.recognition import (
@@ -34,8 +35,17 @@ from slackmat.recognition import (
     polar_realization,
 )
 
-from oracles import polar_scale_reference
-from randgen import random_nonneg_matrix, random_polytope, rng
+from oracles import (
+    polar_realization_wide_reference,
+    polar_scale_reference,
+    polytope_slack_wide_reference,
+)
+from randgen import (
+    random_nonneg_matrix,
+    random_polytope,
+    random_slack_like_matrix,
+    rng,
+)
 from golden import (
     COUNTEREXAMPLE,
     PRISM,
@@ -436,6 +446,94 @@ class TestPolarRealization:
                 assert scale == alpha
                 realized += 1
         assert 0 < realized < len(inputs)
+
+
+CUBE4 = cube_slack(4)
+CUBE4_CENTRED = Matrix([[2 * x for x in row] for row in CUBE4.data], cols=8)
+
+
+def _row_scaled(r, m):
+    d = [F(r.randint(1, 5), r.randint(1, 3)) for _ in range(m.rows)]
+    return Matrix([[x * di for x in row] for row, di in zip(m.data, d)],
+                  cols=m.cols)
+
+
+def _polar_outcome(route, m):
+    try:
+        p, alpha = route(m)
+    except ValueError as e:
+        return str(e)
+    return p.vectors, alpha
+
+
+class TestRankCoordinateSolves:
+    """After the one rank factorization M = A B, the polytope test and the
+    polar realization solve on A or B only, and give exactly what the wide
+    route (solves on M and its transpose, an explicit inverse) gives."""
+
+    def test_identical_to_wide_route(self):
+        r = rng(6)
+        inputs = [CUBE4, CUBE4_CENTRED, C85]
+        while len(inputs) < 1000:
+            v, h = random_polytope(r, max_dim=3, max_vertices=7)
+            s = slack_of_polytope(v, h)
+            inputs += [random_nonneg_matrix(r), random_slack_like_matrix(r),
+                       s, _centred_slack(v, h), _row_scaled(r, s),
+                       s.transpose()]
+        outcomes = set()
+        for m in inputs:
+            res = is_polytope_slack(m)
+            ref = polytope_slack_wide_reference(m)
+            assert res.verdict == ref.verdict
+            assert (serialize(document_for(res.certificate))
+                    == serialize(document_for(ref.certificate)))
+            polar = _polar_outcome(polar_realization, m)
+            assert polar == _polar_outcome(polar_realization_wide_reference, m)
+            outcomes.add(res.certificate.reason if not res.verdict else "yes")
+            outcomes.add(polar if isinstance(polar, str) else "polar")
+        assert outcomes == {
+            "yes", "polar", ONES_NOT_IN_SPAN, UNMATCHED_RAY, RANK_TOO_SMALL,
+            "matrix is not a polytope slack matrix",
+            "transpose is not a polytope slack matrix",
+        }
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        """Every rref input, in call order; inverse is forbidden."""
+        rref, inverse = matrix.rref, matrix.inverse
+        seen = []
+
+        def recording(m):
+            seen.append(m)
+            return rref(m)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inverse called")
+
+        for n, mod in list(sys.modules.items()):
+            if n == "slackmat" or n.startswith("slackmat."):
+                for attr, value in list(vars(mod).items()):
+                    if value is rref:
+                        monkeypatch.setattr(mod, attr, recording)
+                    elif value is inverse:
+                        monkeypatch.setattr(mod, attr, forbidden)
+        return seen
+
+    @pytest.mark.parametrize("m", [PRISM, PRISM_SCALED, CUBE4, CUBE4_CENTRED],
+                             ids=["prism", "prism-scaled", "cube4",
+                                  "cube4-centred"])
+    def test_one_wide_elimination(self, eliminations, m):
+        r = rank(m)
+        for route in (is_polytope_slack, polar_realization):
+            eliminations.clear()
+            try:
+                route(m)
+            except ValueError:
+                assert route is polar_realization and m in (PRISM, CUBE4)
+            wide = [x for x in eliminations
+                    if x.rows > r + 1 and x.cols > r + 1]
+            # Only rank_factorization(m) eliminates m itself.
+            assert wide == ([m] if m.rows > r + 1 and m.cols > r + 1 else [])
 
 
 class TestProperties:

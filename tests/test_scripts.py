@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
@@ -27,10 +29,12 @@ def test_random_survey():
     assert "disagreements:       0" in out.stdout
 
 
-def test_benchmark_selftest():
+@pytest.mark.parametrize("workload", ["families", "random-cli"])
+def test_benchmark_selftest(workload):
     # Two traced runs in separate processes: counters must agree, and
-    # outputs must match with the tracer's patches on and off.
-    out = run_script("selftest.py", "--workload", "families", "--seed", "0",
+    # outputs must match with the tracer's patches on and off (random-cli
+    # runs the CLI, whose parser is built once per process).
+    out = run_script("selftest.py", "--workload", workload, "--seed", "0",
                      "--seconds", "1", folder="perfbench")
     assert out.returncode == 0, out.stdout + out.stderr
-    assert "selftest families: ok" in out.stdout
+    assert "selftest %s: ok" % workload in out.stdout
