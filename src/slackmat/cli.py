@@ -196,7 +196,8 @@ def _cmd_verify_cert(args) -> int:
     if isinstance(cert, NoCertificate):
         ok = recognition.verify_no_certificate(m, cert)
     elif isinstance(cert, YesCertificate):
-        ok = cert.a * cert.b == m
+        a, b = cert.a, cert.b
+        ok = (a.rows, a.cols, b.cols) == (m.rows, b.rows, m.cols) and a * b == m
     else:
         raise CliError("unrecognized certificate payload")
     _emit(args, "CERT valid" if ok else "CERT invalid")

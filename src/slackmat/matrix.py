@@ -1,13 +1,15 @@
 """Exact dense rational linear algebra.
 
-Everything here works over `fractions.Fraction`, so results are exact and
-equality tests are literal.  Matrices are small (dozens of rows at most), so
-plain Gaussian elimination is all we need.
+The API is `fractions.Fraction`-exact, so equality tests are literal.  The
+loops run in Python ints: elimination clears each row's denominators once
+and is fraction-free, keeping rows primitive by their gcd, and Fractions are
+formed only for the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -38,6 +40,18 @@ def vscale(c: Fraction, u: Sequence[Fraction]) -> Vec:
 
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
+
+
+def integer_vec(u: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(ints, d) with u == ints / d; d > 0 is the lcm of the denominators."""
+    d = lcm(*(x.denominator for x in u))
+    return tuple(x.numerator * (d // x.denominator) for x in u), d
+
+
+def primitive(u: Sequence[int]) -> tuple[int, ...]:
+    """An int vector divided by the gcd of its entries; zero stays zero."""
+    g = gcd(*u)
+    return tuple(u) if g <= 1 else tuple(x // g for x in u)
 
 
 class Matrix:
@@ -164,7 +178,9 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     Returns (reduced, pivot_columns, rank).  The RREF is unique, which makes
     every construction built on it deterministic.
     """
-    a = [list(r) for r in m.data]
+    # A positive scaling of a row leaves the RREF as it is, and so does any
+    # nonzero scaling of a row that is eliminated against a pivot row.
+    a = [primitive(integer_vec(r)[0]) for r in m.data]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
     pr = 0
@@ -177,17 +193,19 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
         if pivot_row is None:
             continue
         a[pr], a[pivot_row] = a[pivot_row], a[pr]
-        pv = a[pr][pc]
-        a[pr] = [x / pv for x in a[pr]]
+        prow = a[pr]
+        pv = prow[pc]
         for i in range(nrows):
-            if i != pr and a[i][pc] != 0:
-                f = a[i][pc]
-                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
+            f = a[i][pc]
+            if i != pr and f != 0:
+                a[i] = primitive([pv * x - f * y for x, y in zip(a[i], prow)])
         pivots.append(pc)
         pr += 1
         if pr == nrows:
             break
-    return Matrix(a, cols=ncols), tuple(pivots), len(pivots)
+    out = [[Fraction(x, a[i][pc]) for x in a[i]] for i, pc in enumerate(pivots)]
+    out += [[Fraction(0)] * ncols for _ in range(nrows - pr)]
+    return Matrix(out, cols=ncols), tuple(pivots), pr
 
 
 def rank(m: Matrix) -> int:

@@ -9,22 +9,27 @@ Conventions:
 
 The double-description run inserts inequalities in input order, keeping a
 basis of the current lineality space alongside the extreme rays of the
-pointed quotient.  Each ray carries its zero set, a bitmask of the inserted
-rows it is tight on, and ray adjacency is the combinatorial test of Fukuda
-and Prodon on those sets, with no rank computation.
+pointed quotient.  Rows, rays and lineality vectors are carried as primitive
+integer vectors; rays become canonical Fractions only on output.  Each ray
+carries its zero set, a bitmask of the inserted rows it is tight on, and ray
+adjacency is the combinatorial test of Fukuda and Prodon on those sets, with
+no rank computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .matrix import (
     Matrix,
     Vec,
     dot,
+    integer_vec,
     is_zero_vec,
+    primitive,
     rank,
     rref,
     solve_linear,
@@ -99,11 +104,11 @@ def canonical_ray(v: Sequence[Fraction]) -> Vec:
     Two vectors are positive multiples of each other iff their canonical
     forms coincide; this is the comparison form used throughout recognition.
     """
-    v = vec(v)
-    s = sum(abs(x) for x in v)
+    p, _ = integer_vec(v)
+    s = sum(map(abs, p))
     if s == 0:
         raise ValueError("cannot canonicalize the zero vector")
-    return tuple(x / s for x in v)
+    return tuple(Fraction(x, s) for x in p)
 
 
 def _lineality_rref_basis(vectors: Sequence[Vec], n: int) -> tuple[Vec, ...]:
@@ -133,22 +138,29 @@ def dd_h_to_v(h: ConeRep) -> ConeRep:
     if h.form != "H":
         raise ValueError("expected H-form cone")
     n = h.ambient_dim
-    lin: list[Vec] = [unit(n, i) for i in range(n)]
+    lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     # (ray, zero set): bit k of the zero set is set iff row k is tight on it.
-    rays: list[tuple[Vec, int]] = []
-    for k, b in enumerate(h.vectors):
+    rays: list[tuple[tuple[int, ...], int]] = []
+    rows = [primitive(integer_vec(b)[0]) for b in h.vectors]
+    for k, b in enumerate(rows):
         bit = 1 << k
-        vals = [dot(b, w) for w in lin]
+        vals = [sum(map(mul, b, w)) for w in lin]
         if any(vals):
             i0 = next(i for i, x in enumerate(vals) if x != 0)
-            v0 = vscale(Fraction(1) / vals[i0], lin[i0])  # b.v0 == 1
-            lin = [vsub(w, vscale(x, v0)) for i, (w, x) in enumerate(zip(lin, vals))
-                   if i != i0]
-            rays = [(vsub(r, vscale(dot(b, r), v0)), z | bit) for r, z in rays]
-            rays = [(canonical_ray(r), z) for r, z in rays if not is_zero_vec(r)]
-            rays.append((canonical_ray(v0), bit - 1))  # tight on every earlier row
+            s, v0 = vals[i0], lin[i0]
+            if s < 0:
+                s, v0 = -s, tuple(-x for x in v0)  # b.v0 == s > 0
+
+            def off(w):  # s w - (b.w) v0, which b is tight on
+                x = sum(map(mul, b, w))
+                return primitive([s * y - x * z for y, z in zip(w, v0)])
+
+            lin = [off(w) for i, w in enumerate(lin) if i != i0]
+            rays = [(off(r), z | bit) for r, z in rays]
+            rays = [(r, z) for r, z in rays if any(r)]
+            rays.append((v0, bit - 1))  # tight on every earlier row
         else:
-            signed = [(dot(b, r), r, z) for r, z in rays]
+            signed = [(sum(map(mul, b, r)), r, z) for r, z in rays]
             rays = [(r, z | bit if s == 0 else z) for s, r, z in signed if s >= 0]
             # Extreme rays have distinct zero sets, and two of them are
             # adjacent iff no third one's zero set contains their common one.
@@ -158,8 +170,8 @@ def dd_h_to_v(h: ConeRep) -> ConeRep:
                 for sp, rp, zp in pos:
                     common = zm & zp
                     if all(z & common != common for z in zs if z != zm and z != zp):
-                        comb = vsub(vscale(sp, rm), vscale(sm, rp))
-                        rays.append((canonical_ray(comb), common | bit))
+                        comb = primitive([sp * x - sm * y for x, y in zip(rm, rp)])
+                        rays.append((comb, common | bit))
     lin_basis = _lineality_rref_basis(lin, n) if lin else ()
     out = []
     for r, _ in rays:
@@ -232,14 +244,17 @@ def slack_of_polytope(v: PolytopeRep, h: PolytopeRep) -> Matrix:
         raise ValueError("need a V-form polytope and an H-form polytope")
     if v.ambient_dim != h.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    ineqs = h.inequalities()
+    # With (beta, a) = (B, A) / dh and v = P / dp in integers, the slack is
+    # (B dp - A.P) / (dh dp), so its sign is that of the numerator.
+    ineqs = [(row[0], row[1:], dh) for row, dh in map(integer_vec, h.vectors)]
     rows = []
     for pt in v.points():
-        rows.append([beta - dot(a, pt) for beta, a in ineqs])
-    s = Matrix(rows, cols=len(ineqs))
-    if not s.is_nonnegative():
-        raise ValueError("points are not contained in the H-polytope")
-    return s
+        p, dp = integer_vec(pt)
+        nums = [(beta * dp - sum(map(mul, a, p)), dh * dp) for beta, a, dh in ineqs]
+        if any(x < 0 for x, _ in nums):
+            raise ValueError("points are not contained in the H-polytope")
+        rows.append([Fraction(x, d) for x, d in nums])
+    return Matrix(rows, cols=len(ineqs))
 
 
 def _h_polytope_constraints(h: PolytopeRep) -> list[Constraint]:

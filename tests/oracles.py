@@ -45,6 +45,14 @@ def sympy_rank(m: Matrix) -> int:
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in m.data]).rank()
 
 
+def sympy_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """(reduced, pivot_columns) from sympy's own elimination."""
+    entries = [sympy.Rational(x.numerator, x.denominator) for row in m.data for x in row]
+    r, pivots = sympy.Matrix(m.rows, m.cols, entries).rref()
+    rows = [[F(int(x.p), int(x.q)) for x in r.row(i)] for i in range(r.rows)]
+    return Matrix(rows, cols=m.cols), tuple(pivots)
+
+
 def brute_force_rays(normals, n):
     """Extreme rays of a pointed cone {x : b.x >= 0 for all b} by trying
     every (n-1)-subset of normals and keeping one-dimensional kernels whose

@@ -206,5 +206,12 @@ class TestOtherCommands:
                     "--certificate", str(cert)]) == 0
         assert run(["verify-cert", prism_file, str(cert)]) == 0
 
+    def test_verify_cert_yes_mismatched_shapes(self, tmp_path, capsys):
+        f = write_doc(tmp_path / "id.matrix", Matrix.identity(2))
+        cert = tmp_path / "bad.cert"
+        cert.write_text("CERT YES\nA 2 3\n1 0 0\n0 1 0\nB 2 2\n1 0\n0 1\n")
+        assert run(["verify-cert", f, str(cert)]) == 1
+        assert capsys.readouterr().out.strip() == "CERT invalid"
+
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2

@@ -1,13 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slackmat import Matrix, left_kernel_basis, rank, rank_factorization, rref, solve_linear
 from slackmat.matrix import dot, inverse, is_zero_vec, ones, right_kernel_basis, unit
 
 from golden import COUNTEREXAMPLE, PRISM, SQUARE_HOMOG
-from oracles import sympy_rank
+from oracles import sympy_rank, sympy_rref
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -20,6 +20,31 @@ def matrices(draw, max_rows=5, max_cols=5):
         st.lists(fracs, min_size=q, max_size=q), min_size=p, max_size=p,
     ))
     return Matrix(data, cols=q)
+
+
+# Mixed denominators, and numerators within 2^10 of +-2^80.
+near_2_80 = st.builds(
+    lambda sign, k, d: F(sign * (2**80 - k), d),
+    st.sampled_from((1, -1)), st.integers(0, 2**10), st.integers(1, 2**20),
+)
+wide_fracs = st.one_of(fracs, near_2_80, st.fractions(max_denominator=10**6))
+
+
+@st.composite
+def rref_inputs(draw, max_rows=5, max_cols=5):
+    """Matrices of any shape from 0x0 up, with zero and duplicate rows."""
+    p = draw(st.integers(0, max_rows))
+    q = draw(st.integers(0, max_cols))
+    rows = []
+    for _ in range(p):
+        kind = draw(st.sampled_from(("new", "new", "zero", "duplicate")))
+        if kind == "zero":
+            rows.append([F(0)] * q)
+        elif kind == "duplicate" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(draw(st.lists(wide_fracs, min_size=q, max_size=q)))
+    return Matrix(rows, cols=q)
 
 
 class TestRref:
@@ -49,6 +74,15 @@ class TestRref:
     @settings(max_examples=100, deadline=None)
     def test_rank_matches_independent_oracle(self, m):
         assert rank(m) == sympy_rank(m)
+
+    @given(rref_inputs())
+    @example(Matrix([], cols=3))
+    @example(Matrix([[], [], []], cols=0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sympy(self, m):
+        r, pivots, rk = rref(m)
+        assert (r, pivots) == sympy_rref(m)
+        assert rk == len(pivots)
 
 
 class TestKernels:

@@ -40,6 +40,7 @@ from golden import (
     SQUARE_VERTICES,
 )
 from oracles import brute_force_rays, dd_h_to_v_rank_reference
+from randgen import random_polytope, rng
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -205,6 +206,30 @@ class TestSlackOfPolytope:
         with pytest.raises(ValueError):
             slack_of_polytope(v, SQUARE_FACETS)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_plain_formula(self, seed):
+        r = rng(seed)
+        for _ in range(20):
+            v, h = random_polytope(r)
+            n, pts = v.ambient_dim, v.points()
+            centre = tuple(sum(p[j] for p in pts) / len(pts) for j in range(n))
+            # Rows scaled by positive Fractions give mixed, large denominators.
+            scales = [F(r.randint(1, 2**30), r.randint(1, 2**30)) for _ in h.vectors]
+            h = PolytopeRep("H", n, tuple(
+                tuple(c * x for x in row) for c, row in zip(scales, h.vectors)))
+            v = PolytopeRep("V", n, pts + (centre,))
+            want = Matrix([[beta - dot(a, p) for beta, a in h.inequalities()]
+                           for p in v.points()], cols=len(h.vectors))
+            assert slack_of_polytope(v, h) == want
+            # A vertex pushed away from the centre leaves the polytope.
+            out = PolytopeRep("V", n, (tuple(2 * x - c for x, c in zip(pts[0], centre)),))
+            with pytest.raises(ValueError):
+                slack_of_polytope(out, h)
+            assert slack_of_polytope(PolytopeRep("V", n, ()), h) == Matrix(
+                [], cols=len(h.vectors))
+            assert slack_of_polytope(v, PolytopeRep("H", n, ())) == Matrix(
+                [[]] * len(v.vectors), cols=0)
+
 
 class TestDimension:
     def test_prism_v_form(self):
@@ -312,14 +337,31 @@ def degenerate_h_cone(r):
     return ConeRep("H", n, tuple(rows))
 
 
+def rational_rows(r, h):
+    """The same cone up to a change of coordinates, with mixed denominators:
+    column j is divided by its own d_j, and each row is scaled by a positive
+    Fraction with numerator and denominator of up to 40 bits."""
+    d = [r.randint(1, 12) for _ in range(h.ambient_dim)]
+    rows = []
+    for b in h.vectors:
+        c = F(r.randint(1, 2**40), r.randint(1, 2**40))
+        rows.append(tuple(c * x / dj for x, dj in zip(b, d)))
+    return ConeRep("H", h.ambient_dim, tuple(rows))
+
+
 class TestCombinatorialAdjacency:
     """Zero-set adjacency gives the same output as the rank test it
     replaced, on cones far more degenerate than the properties above."""
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_rank_adjacency_reference(self, seed):
+    @pytest.mark.parametrize("seed, rational", [
+        *(pytest.param(seed, False, id=str(seed)) for seed in range(4)),
+        *(pytest.param(seed, True, id="rational-%d" % seed) for seed in (4, 5)),
+    ])
+    def test_matches_rank_adjacency_reference(self, seed, rational):
         r = random.Random(seed)
         for _ in range(250):
             h = degenerate_h_cone(r)
+            if rational:
+                h = rational_rows(r, h)
             got, want = dd_h_to_v(h), dd_h_to_v_rank_reference(h)
             assert (got.vectors, got.lineality) == (want.vectors, want.lineality), h

@@ -29,11 +29,12 @@ def test_random_survey():
     assert "disagreements:       0" in out.stdout
 
 
-@pytest.mark.parametrize("workload", ["families", "random-cli"])
+@pytest.mark.parametrize("workload", ["families", "random-cli", "verify-vh"])
 def test_benchmark_selftest(workload):
     # Two traced runs in separate processes: counters must agree, and
     # outputs must match with the tracer's patches on and off (random-cli
-    # runs the CLI, whose parser is built once per process).
+    # runs the CLI, whose parser is built once per process; verify-vh runs
+    # slack_of_polytope on every V/H pair).
     out = run_script("selftest.py", "--workload", workload, "--seed", "0",
                      "--seconds", "1", folder="perfbench")
     assert out.returncode == 0, out.stdout + out.stderr
