@@ -14,7 +14,7 @@ import sys
 
 from . import combinatorial, formats, recognition, verification
 from .formats import Document, FormatError, document_for
-from .matrix import Matrix, rank
+from .matrix import Matrix, ones, rank
 from .polyhedra import (
     ConeRep,
     PolytopeRep,
@@ -116,21 +116,18 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_slack(args) -> int:
     vdoc = _load(args.vrep, (formats.CONE_V, formats.POLY_V))
     hdoc = _load(args.hrep, (formats.CONE_H, formats.POLY_H))
-    try:
-        if vdoc.kind == formats.CONE_V:
-            if hdoc.kind != formats.CONE_H:
-                raise CliError("cone V-rep needs a cone H-rep")
-            v: ConeRep = vdoc.payload
-            h: ConeRep = hdoc.payload
-            a = Matrix(v.vectors, cols=v.ambient_dim)
-            b = Matrix(h.vectors, cols=h.ambient_dim).transpose()
-            s = slack_of_cone(a, b)
-        else:
-            if hdoc.kind != formats.POLY_H:
-                raise CliError("polytope V-rep needs a polytope H-rep")
-            s = slack_of_polytope(vdoc.payload, hdoc.payload)
-    except ValueError as e:
-        raise CliError(str(e))
+    if vdoc.kind == formats.CONE_V:
+        if hdoc.kind != formats.CONE_H:
+            raise CliError("cone V-rep needs a cone H-rep")
+        v: ConeRep = vdoc.payload
+        h: ConeRep = hdoc.payload
+        a = Matrix(v.vectors, cols=v.ambient_dim)
+        b = Matrix(h.vectors, cols=h.ambient_dim).transpose()
+        s = slack_of_cone(a, b)
+    else:
+        if hdoc.kind != formats.POLY_H:
+            raise CliError("polytope V-rep needs a polytope H-rep")
+        s = slack_of_polytope(vdoc.payload, hdoc.payload)
     sys.stdout.write(formats.serialize(document_for(s)))
     return 0
 
@@ -138,10 +135,7 @@ def _cmd_slack(args) -> int:
 def _cmd_verify(args) -> int:
     q: PolytopeRep = _load(args.vrep, (formats.POLY_V,)).payload
     p: PolytopeRep = _load(args.hrep, (formats.POLY_H,)).payload
-    try:
-        res = verification.verify_polytope_equality(q, p)
-    except ValueError as e:
-        raise CliError(str(e))
+    res = verification.verify_polytope_equality(q, p)
     if res.witness is not None:
         _save_certificate(args, res.witness)
     if res.equal:
@@ -153,10 +147,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_incidence(args) -> int:
     m: Matrix = _load(args.file, (formats.MATRIX,)).payload
-    try:
-        inc = combinatorial.incidence_matrix(m)
-    except ValueError as e:
-        raise CliError(str(e))
+    inc = combinatorial.incidence_matrix(m)
     sys.stdout.write(formats.serialize(document_for(inc)))
     return 0
 
@@ -166,20 +157,17 @@ def _cmd_polygon_check(args) -> int:
     try:
         ok = combinatorial.polygon_slack_check(m)
     except ValueError as e:
-        if str(e) == combinatorial.NOT_APPLICABLE:
-            _emit(args, "POLYGON-SLACK not-applicable")
-            return 1
-        raise CliError(str(e))
+        if str(e) != combinatorial.NOT_APPLICABLE:
+            raise
+        _emit(args, "POLYGON-SLACK not-applicable")
+        return 1
     _emit(args, "POLYGON-SLACK yes" if ok else "POLYGON-SLACK no")
     return 0 if ok else 1
 
 
 def _cmd_polar_realize(args) -> int:
     m: Matrix = _load(args.file, (formats.MATRIX,)).payload
-    try:
-        p, scale = recognition.polar_realization(m)
-    except ValueError as e:
-        raise CliError(str(e))
+    p, scale = recognition.polar_realization(m)
     if args.out_v:
         _write(args.out_v, p)
     _emit(
@@ -190,16 +178,23 @@ def _cmd_polar_realize(args) -> int:
     return 0
 
 
+def _yes_certificate_holds(m: Matrix, cert: YesCertificate) -> bool:
+    # Necessary checks only, not yet sound: every nonnegative m = a b for some a, b.
+    try:
+        return (cert.a * cert.b == m
+                and (cert.mu is None or m.matvec(cert.mu) == ones(m.rows))
+                and (cert.polytope is None or slack_of_polytope(*cert.polytope) == m))
+    except ValueError:  # mis-shaped blocks, or a V point outside the H-polytope
+        return False
+
+
 def _cmd_verify_cert(args) -> int:
     m: Matrix = _load(args.matrix, (formats.MATRIX,)).payload
     cert = _load(args.cert, (formats.CERT,)).payload
     if isinstance(cert, NoCertificate):
         ok = recognition.verify_no_certificate(m, cert)
-    elif isinstance(cert, YesCertificate):
-        a, b = cert.a, cert.b
-        ok = (a.rows, a.cols, b.cols) == (m.rows, b.rows, m.cols) and a * b == m
     else:
-        raise CliError("unrecognized certificate payload")
+        ok = _yes_certificate_holds(m, cert)
     _emit(args, "CERT valid" if ok else "CERT invalid")
     return 0 if ok else 1
 
@@ -277,10 +272,7 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except CliError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -1,10 +1,16 @@
 """Deterministic text formats for matrices, representations and certificates.
 
-Header-first plain text: a kind line with dimensions, then whitespace
-separated rows of rationals written as ``a`` or ``a/b`` in ASCII digits,
-with an optional sign on ``a`` only.  Serialization is canonical (reduced
-fractions, single spaces, LF, newline-terminated), so files are diff-able
-and parse/serialize round-trips are exact.
+Every document is built from one block: a header ``LABEL count width`` and
+then `count` rows of `width` rationals, or width + 1 for the inequality rows
+of ``POLY_H`` and ``H``, which lead with beta.  MATRIX, CONE_V, CONE_H,
+POLY_V and POLY_H documents are one block each; a CONE_V block may be
+followed by ``LINEALITY k`` and k rows of the same width.  ``CERT YES`` is
+followed by blocks ``A`` and ``B``, an optional ``MU`` row and an optional
+``V`` and ``H`` pair; ``CERT NO reason convention`` by at most one
+``WITNESS`` and one ``SEPARATOR`` row.  Rationals are written as ``a`` or
+``a/b`` in ASCII digits, with an optional sign on ``a`` only.  Serialization
+is canonical (reduced fractions, single spaces, LF, newline-terminated), so
+files are diff-able and parse/serialize round-trips are exact.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .matrix import Matrix, Vec, vec
+from .matrix import Matrix, Vec
 from .polyhedra import ConeRep, PolytopeRep
 from .recognition import NoCertificate, YesCertificate
 
@@ -26,6 +32,8 @@ POLY_H = "POLY_H"
 CERT = "CERT"
 
 KINDS = (MATRIX, CONE_V, CONE_H, POLY_V, POLY_H, CERT)
+_ROW_NAMES = {MATRIX: "matrix", CONE_V: "cone", CONE_H: "cone",
+              POLY_V: "points", POLY_H: "inequalities"}
 
 # ASCII digits only: int() alone would also take "1_0" and non-ASCII digits.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -106,6 +114,19 @@ class _Reader:
             rows.append(tuple(_parse_rational(t, no) for t in toks))
         return rows
 
+    def read_block(self, toks: list[str], no: int, what: str) -> tuple[int, list[Vec]]:
+        """Width and rows of the block whose header ``LABEL count width`` was
+        read at line `no`; rows of inequalities carry beta, one more entry."""
+        count, width = _counts(toks[1:], 2, no)
+        return width, self.read_rows(count, width + (toks[0] in (POLY_H, "H")), what)
+
+    def expect_block(self, label: str) -> tuple[int, list[Vec]]:
+        line, no = self.next_line("%s header" % label)
+        toks = line.split()
+        if toks[0] != label:
+            raise FormatError("expected %s block" % label, no)
+        return self.read_block(toks, no, label)
+
 
 def _counts(tokens: list[str], n: int, lineno: int) -> list[int]:
     if len(tokens) != n:
@@ -116,6 +137,10 @@ def _counts(tokens: list[str], n: int, lineno: int) -> list[int]:
         return [int(t) for t in tokens]
     except ValueError:  # past the interpreter's limit on integer digits
         raise FormatError("bad header number", lineno)
+
+
+def _block(label: str, rows: Sequence[Sequence[Fraction]], width: int) -> list[str]:
+    return ["%s %d %d" % (label, len(rows), width)] + [_fmt_row(row) for row in rows]
 
 
 def parse(text: str) -> Document:
@@ -133,29 +158,19 @@ def _parse_document(r: _Reader) -> Document:
     kind = toks[0]
     if kind not in KINDS:
         raise FormatError("unknown document kind %s" % _shown(kind), no)
+    if kind == CERT:
+        return Document(CERT, _parse_cert(r, toks, no))
+    n, rows = r.read_block(toks, no, _ROW_NAMES[kind])
     if kind == MATRIX:
-        p, q = _counts(toks[1:], 2, no)
-        rows = r.read_rows(p, q, "matrix")
-        return Document(MATRIX, Matrix(rows, cols=q))
-    if kind in (CONE_V, CONE_H):
-        count, n = _counts(toks[1:], 2, no)
-        rows = r.read_rows(count, n, "cone")
-        lineality: list[Vec] = []
-        if kind == CONE_V and r.peek() and r.peek().split()[0] == "LINEALITY":
-            line, no2 = r.next_line("lineality header")
-            (k,) = _counts(line.split()[1:], 1, no2)
-            lineality = r.read_rows(k, n, "lineality")
-        form = "V" if kind == CONE_V else "H"
-        return Document(kind, ConeRep(form, n, tuple(rows), tuple(lineality)))
-    if kind == POLY_V:
-        count, n = _counts(toks[1:], 2, no)
-        rows = r.read_rows(count, n, "points")
-        return Document(POLY_V, PolytopeRep("V", n, tuple(rows)))
-    if kind == POLY_H:
-        count, n = _counts(toks[1:], 2, no)
-        rows = r.read_rows(count, n + 1, "inequalities")
-        return Document(POLY_H, PolytopeRep("H", n, tuple(rows)))
-    return Document(CERT, _parse_cert(r, toks, no))
+        return Document(MATRIX, Matrix(rows, cols=n))
+    if kind in (POLY_V, POLY_H):
+        return Document(kind, PolytopeRep(kind[-1], n, tuple(rows)))
+    lineality: list[Vec] = []
+    if kind == CONE_V and r.peek() and r.peek().split()[0] == "LINEALITY":
+        line, no2 = r.next_line("lineality header")
+        (k,) = _counts(line.split()[1:], 1, no2)
+        lineality = r.read_rows(k, n, "lineality")
+    return Document(kind, ConeRep(kind[-1], n, tuple(rows), tuple(lineality)))
 
 
 def _parse_cert(r: _Reader, toks: list[str], no: int):
@@ -164,102 +179,56 @@ def _parse_cert(r: _Reader, toks: list[str], no: int):
     if toks[1] == "NO":
         if len(toks) != 4:
             raise FormatError("CERT NO needs reason and convention", no)
-        reason, convention = toks[2], toks[3]
-        witness = separator = None
+        found: dict[str, Vec] = {}
         while r.peek() is not None:
             line, no2 = r.next_line("certificate row")
-            parts = line.split()
-            label = parts[0]
-            values = tuple(_parse_rational(t, no2) for t in parts[1:])
-            if label == "WITNESS":
-                witness = values
-            elif label == "SEPARATOR":
-                separator = values
-            else:
+            label, *parts = line.split()
+            values = tuple(_parse_rational(t, no2) for t in parts)
+            if label not in ("WITNESS", "SEPARATOR"):
                 raise FormatError("unknown certificate row %s" % _shown(label), no2)
-        return NoCertificate(reason, convention, witness, separator)
+            if label in found:
+                raise FormatError("repeated %s row" % label, no2)
+            found[label] = values
+        return NoCertificate(toks[2], toks[3], found.get("WITNESS"), found.get("SEPARATOR"))
     if len(toks) != 2:
         raise FormatError("CERT YES takes no extra header fields", no)
-    line, no2 = r.next_line("A header")
-    a_toks = line.split()
-    if a_toks[0] != "A":
-        raise FormatError("expected A block", no2)
-    p, k = _counts(a_toks[1:], 2, no2)
-    a = Matrix(r.read_rows(p, k, "A"), cols=k)
-    line, no3 = r.next_line("B header")
-    b_toks = line.split()
-    if b_toks[0] != "B":
-        raise FormatError("expected B block", no3)
-    k2, q = _counts(b_toks[1:], 2, no3)
-    b = Matrix(r.read_rows(k2, q, "B"), cols=q)
-    mu = None
-    polytope = None
+    k, a_rows = r.expect_block("A")
+    q, b_rows = r.expect_block("B")
+    mu = polytope = None
     if r.peek() is not None and r.peek().split()[0] == "MU":
-        line, no4 = r.next_line("MU row")
-        parts = line.split()
-        mu = tuple(_parse_rational(t, no4) for t in parts[1:])
+        line, no2 = r.next_line("MU row")
+        mu = tuple(_parse_rational(t, no2) for t in line.split()[1:])
     if r.peek() is not None:
-        line, no5 = r.next_line("V header")
-        v_toks = line.split()
-        if v_toks[0] != "V":
-            raise FormatError("expected V block", no5)
-        pcount, n = _counts(v_toks[1:], 2, no5)
-        v = PolytopeRep("V", n, tuple(r.read_rows(pcount, n, "V")))
-        line, no6 = r.next_line("H header")
-        h_toks = line.split()
-        if h_toks[0] != "H":
-            raise FormatError("expected H block", no6)
-        hcount, n2 = _counts(h_toks[1:], 2, no6)
-        h = PolytopeRep("H", n2, tuple(r.read_rows(hcount, n2 + 1, "H")))
-        polytope = (v, h)
-    return YesCertificate(a=a, b=b, mu=mu, polytope=polytope)
+        n, v = r.expect_block("V")
+        n2, h = r.expect_block("H")
+        polytope = (PolytopeRep("V", n, tuple(v)), PolytopeRep("H", n2, tuple(h)))
+    return YesCertificate(Matrix(a_rows, cols=k), Matrix(b_rows, cols=q), mu, polytope)
 
 
 def serialize(doc: Document) -> str:
     kind, payload = doc.kind, doc.payload
-    out: list[str] = []
     if kind == MATRIX:
-        m: Matrix = payload
-        out.append("MATRIX %d %d" % (m.rows, m.cols))
-        out.extend(_fmt_row(row) for row in m.data)
-    elif kind in (CONE_V, CONE_H):
-        c: ConeRep = payload
-        out.append("%s %d %d" % (kind, len(c.vectors), c.ambient_dim))
-        out.extend(_fmt_row(v) for v in c.vectors)
-        if c.lineality:
-            out.append("LINEALITY %d" % len(c.lineality))
-            out.extend(_fmt_row(v) for v in c.lineality)
-    elif kind == POLY_V:
-        pv: PolytopeRep = payload
-        out.append("POLY_V %d %d" % (len(pv.vectors), pv.ambient_dim))
-        out.extend(_fmt_row(v) for v in pv.vectors)
-    elif kind == POLY_H:
-        ph: PolytopeRep = payload
-        out.append("POLY_H %d %d" % (len(ph.vectors), ph.ambient_dim))
-        out.extend(_fmt_row(v) for v in ph.vectors)
+        out = _block(MATRIX, payload.data, payload.cols)
+    elif kind in (CONE_V, CONE_H, POLY_V, POLY_H):
+        out = _block(kind, payload.vectors, payload.ambient_dim)
+        if kind == CONE_V and payload.lineality:  # only V-form cones have one
+            out.append("LINEALITY %d" % len(payload.lineality))
+            out.extend(_fmt_row(v) for v in payload.lineality)
+    elif kind == CERT and isinstance(payload, NoCertificate):
+        out = ["CERT NO %s %s" % (payload.reason, payload.convention)]
+        if payload.witness is not None:
+            out.append("WITNESS " + _fmt_row(payload.witness))
+        if payload.separator is not None:
+            out.append("SEPARATOR " + _fmt_row(payload.separator))
+    elif kind == CERT and isinstance(payload, YesCertificate):
+        a, b = payload.a, payload.b
+        out = ["CERT YES"] + _block("A", a.data, a.cols) + _block("B", b.data, b.cols)
+        if payload.mu is not None:
+            out.append("MU " + _fmt_row(payload.mu))
+        for label, rep in zip("VH", payload.polytope or ()):
+            out += _block(label, rep.vectors, rep.ambient_dim)
     elif kind == CERT:
-        if isinstance(payload, NoCertificate):
-            out.append("CERT NO %s %s" % (payload.reason, payload.convention))
-            if payload.witness is not None:
-                out.append("WITNESS " + _fmt_row(payload.witness))
-            if payload.separator is not None:
-                out.append("SEPARATOR " + _fmt_row(payload.separator))
-        elif isinstance(payload, YesCertificate):
-            out.append("CERT YES")
-            out.append("A %d %d" % (payload.a.rows, payload.a.cols))
-            out.extend(_fmt_row(row) for row in payload.a.data)
-            out.append("B %d %d" % (payload.b.rows, payload.b.cols))
-            out.extend(_fmt_row(row) for row in payload.b.data)
-            if payload.mu is not None:
-                out.append("MU " + _fmt_row(payload.mu))
-            if payload.polytope is not None:
-                v, h = payload.polytope
-                out.append("V %d %d" % (len(v.vectors), v.ambient_dim))
-                out.extend(_fmt_row(row) for row in v.vectors)
-                out.append("H %d %d" % (len(h.vectors), h.ambient_dim))
-                out.extend(_fmt_row(row) for row in h.vectors)
-        else:
-            raise ValueError("not a certificate payload")
+        raise ValueError("not a certificate payload")
     else:
         raise ValueError("unknown document kind %r" % kind)
     return "\n".join(out) + "\n"

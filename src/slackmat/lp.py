@@ -38,10 +38,6 @@ class Constraint:
         object.__setattr__(self, "rhs", frac(self.rhs))
 
 
-def con(coeffs: Sequence, rel: str, rhs) -> Constraint:
-    return Constraint(vec(coeffs), rel, frac(rhs))
-
-
 @dataclass(frozen=True)
 class LpOutcome:
     """Result of an exact LP solve.

@@ -39,7 +39,7 @@ from .matrix import (
     vsub,
 )
 from . import lp
-from .lp import Constraint, con
+from .lp import Constraint
 
 
 class EmptyPolyhedronError(ValueError):
@@ -258,7 +258,7 @@ def slack_of_polytope(v: PolytopeRep, h: PolytopeRep) -> Matrix:
 
 
 def _h_polytope_constraints(h: PolytopeRep) -> list[Constraint]:
-    return [con(a, lp.LE, beta) for beta, a in h.inequalities()]
+    return [Constraint(a, lp.LE, beta) for beta, a in h.inequalities()]
 
 
 def _implicit_equalities(constraints: list[Constraint],
@@ -278,7 +278,7 @@ def _implicit_equalities(constraints: list[Constraint],
         sign = Fraction(-1) if ci.rel == lp.LE else Fraction(1)
         slack_obj = vscale(sign, ci.coeffs)
         shift = -sign * ci.rhs
-        capped = constraints + [con(slack_obj, lp.LE, 1 - shift)]
+        capped = constraints + [Constraint(slack_obj, lp.LE, 1 - shift)]
         out = lp.lp_solve(slack_obj, capped, sense="max")
         # The cap can cut away the whole feasible set when the slack is
         # bounded below by more than one; such a row is certainly not tight.
@@ -294,7 +294,7 @@ def dimension(rep: ConeRep | PolytopeRep) -> int:
         if rep.form == "V":
             m = Matrix(rep.vectors + rep.lineality, cols=n)
             return rank(m)
-        constraints = [con(b, lp.GE, 0) for b in rep.vectors]
+        constraints = [Constraint(b, lp.GE, 0) for b in rep.vectors]
     elif rep.form == "V":
         pts = rep.points()
         if not pts:
@@ -324,14 +324,14 @@ def contains_origin_interior(p: PolytopeRep) -> bool:
     # Variables: lambda_1..k and t; maximize t subject to lambda_i >= t.
     constraints: list[Constraint] = []
     for j in range(n):
-        constraints.append(con([pt[j] for pt in pts] + [0], lp.EQ, 0))
-    constraints.append(con([1] * k + [0], lp.EQ, 1))
+        constraints.append(Constraint([pt[j] for pt in pts] + [0], lp.EQ, 0))
+    constraints.append(Constraint([1] * k + [0], lp.EQ, 1))
     for i in range(k):
-        constraints.append(con(unit(k + 1, i), lp.GE, 0))
+        constraints.append(Constraint(unit(k + 1, i), lp.GE, 0))
         coeffs = [Fraction(0)] * (k + 1)
         coeffs[i] = Fraction(1)
         coeffs[k] = Fraction(-1)
-        constraints.append(con(coeffs, lp.GE, 0))
+        constraints.append(Constraint(coeffs, lp.GE, 0))
     out = lp.lp_solve(unit(k + 1, k), constraints, sense="max")
     return out.status == lp.OPTIMAL and out.value > 0
 

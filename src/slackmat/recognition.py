@@ -189,6 +189,8 @@ def verify_no_certificate(m: Matrix, cert: NoCertificate) -> bool:
     Independent of the recognition path: only kernels, signs and dot
     products.  Invalid or ill-shaped certificates return False.
     """
+    if cert.convention not in ("row", "column"):
+        return False
     try:
         if cert.reason == RANK_TOO_SMALL:
             return rank(m) < 2

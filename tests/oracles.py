@@ -13,7 +13,7 @@ from slackmat import (
     is_polytope_slack,
     slack_of_polytope,
 )
-from slackmat.lp import EQ, GE, OPTIMAL, con, lp_solve
+from slackmat.lp import EQ, GE, OPTIMAL, Constraint, lp_solve
 from slackmat.matrix import (
     Vec,
     dot,
@@ -104,8 +104,8 @@ def polar_scale_reference(m: Matrix):
             and is_polytope_slack(m.transpose()).verdict):
         return None
     p = m.rows
-    constraints = [con(m.col(j), EQ, 1) for j in range(m.cols)]
-    constraints += [con(unit(p, i), GE, 0) for i in range(p)]
+    constraints = [Constraint(m.col(j), EQ, 1) for j in range(m.cols)]
+    constraints += [Constraint(unit(p, i), GE, 0) for i in range(p)]
     out = lp_solve([0] * p, constraints, sense="min")
     assert out.status == OPTIMAL
     return sum(out.point, F(0))

@@ -1,6 +1,6 @@
 import pytest
 
-from slackmat import Matrix
+from slackmat import ConeRep, Matrix, PolytopeRep
 from slackmat.cli import build_parser, run
 from slackmat.formats import document_for, parse, serialize
 
@@ -100,6 +100,29 @@ class TestCheckCommands:
     def test_wrong_kind_is_usage_error(self, tmp_path):
         f = write_doc(tmp_path / "v.ext", PRISM_VERTICES)
         assert run(["check-cone", str(f)]) == 2
+
+
+NEGATIVE_3X3 = Matrix([[0, 1, 1], [1, 0, -1], [1, 1, 0]])
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command, inputs, message", [
+        ("slack", {"--vrep": ConeRep("V", 1, ((1,),)), "--hrep": ConeRep("H", 1, ((-1,),))},
+         "not a representation pair: negative slack entry"),
+        ("verify", {"--vrep": PolytopeRep("V", 2, ((2, 0),)), "--hrep": SQUARE_FACETS},
+         "points are not contained in the H-polytope"),
+        ("incidence", {None: NEGATIVE_3X3}, "matrix has a negative entry"),
+        ("polygon-check", {None: NEGATIVE_3X3}, "matrix has a negative entry"),
+        ("polar-realize", {None: PRISM}, "transpose is not a polytope slack matrix"),
+    ], ids=["slack", "verify", "incidence", "polygon-check", "polar-realize"])
+    def test_library_error_is_one_error_line(self, tmp_path, capsys, command, inputs, message):
+        argv = [command]
+        for i, (flag, payload) in enumerate(inputs.items()):
+            argv += [flag] if flag else []
+            argv.append(write_doc(tmp_path / ("in%d" % i), payload))
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: %s\n" % message)
 
 
 class TestParserReuse:
@@ -212,6 +235,38 @@ class TestOtherCommands:
         cert.write_text("CERT YES\nA 2 3\n1 0 0\n0 1 0\nB 2 2\n1 0\n0 1\n")
         assert run(["verify-cert", f, str(cert)]) == 1
         assert capsys.readouterr().out.strip() == "CERT invalid"
+
+    def test_verify_cert_no_with_unknown_convention(self, tmp_path, capsys):
+        f = write_doc(tmp_path / "c.matrix", COUNTEREXAMPLE)
+        cert = tmp_path / "c.cert"
+        assert run(["check-cone", f, "--quiet", "--certificate", str(cert)]) == 1
+        text = cert.read_text()
+        assert text.startswith("CERT NO unmatched_ray column\n")
+        cert.write_text(text.replace(" column\n", " diagonal\n", 1))
+        assert run(["verify-cert", f, str(cert)]) == 1
+        assert capsys.readouterr().out.strip() == "CERT invalid"
+
+    @pytest.mark.parametrize("mu_row", ["MU 1", "MU", "MU 1 0 0"])
+    def test_verify_cert_yes_checks_mu(self, tmp_path, capsys, mu_row):
+        f = write_doc(tmp_path / "id.matrix", Matrix.identity(2))
+        cert = tmp_path / "id.cert"
+        cert.write_text("CERT YES\nA 2 2\n1 0\n0 1\nB 2 2\n1 0\n0 1\n%s\n" % mu_row)
+        assert run(["verify-cert", f, str(cert)]) == 1
+        assert capsys.readouterr().out.strip() == "CERT invalid"
+        cert.write_text("CERT YES\nA 2 2\n1 0\n0 1\nB 2 2\n1 0\n0 1\nMU 1 1\n")
+        assert run(["verify-cert", f, str(cert)]) == 0
+
+    def test_verify_cert_yes_checks_realization(self, prism_file, tmp_path, capsys):
+        cert = tmp_path / "p.cert"
+        assert run(["check-polytope", prism_file, "--quiet",
+                    "--certificate", str(cert)]) == 0
+        lines = cert.read_text().splitlines()
+        v = next(i for i, line in enumerate(lines) if line.startswith("V "))
+        for altered in ("0 0 0", lines[v + 2], "9 9 9"):  # inside, duplicate, outside
+            changed = lines[: v + 1] + [altered] + lines[v + 2:]
+            cert.write_text("\n".join(changed) + "\n")
+            assert run(["verify-cert", prism_file, str(cert)]) == 1
+            assert capsys.readouterr().out.strip() == "CERT invalid"
 
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2

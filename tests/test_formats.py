@@ -15,7 +15,13 @@ from slackmat.formats import (
     parse,
     serialize,
 )
-from slackmat.recognition import NoCertificate, UNMATCHED_RAY
+from slackmat.recognition import (
+    ONES_NOT_IN_SPAN,
+    RANK_TOO_SMALL,
+    UNMATCHED_RAY,
+    NoCertificate,
+    YesCertificate,
+)
 
 from golden import COUNTEREXAMPLE, PRISM
 
@@ -106,6 +112,16 @@ class TestParse:
             parse("MATRIX 1 1\n%s\n" % token)
         assert len(str(err.value)) < 80
 
+    @pytest.mark.parametrize("label", ["WITNESS", "SEPARATOR"])
+    def test_repeated_no_certificate_row_is_rejected(self, label):
+        text = serialize(document_for(is_cone_slack(COUNTEREXAMPLE).certificate))
+        lines = text.splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith(label + " "))
+        width = len(lines[row].split()) - 1
+        repeated = lines[:row] + [label + " 9" * width] + lines[row:]
+        with pytest.raises(FormatError, match="line %d: repeated %s row" % (row + 2, label)):
+            parse("\n".join(repeated) + "\n")
+
     def test_signed_numerators(self):
         assert parse("MATRIX 1 3\n+1 -2/4 -0\n").payload == Matrix([[1, F(-1, 2), 0]])
 
@@ -146,13 +162,16 @@ class TestSerialize:
 
 @st.composite
 def documents(draw):
-    which = draw(st.sampled_from(["matrix", "cone", "poly_v", "poly_h"]))
+    which = draw(st.sampled_from(
+        ["matrix", "cone", "poly_v", "poly_h", "cert-no", "cert-yes"]))
     n = draw(st.integers(1, 4))
     count = draw(st.integers(1, 4))
-    def rows(width):
+    def rows(width, count=count):
         return tuple(
             tuple(draw(fracs) for _ in range(width)) for _ in range(count)
         )
+    def maybe(value):
+        return value if draw(st.booleans()) else None
     if which == "matrix":
         return document_for(Matrix(rows(n), cols=n))
     if which == "cone":
@@ -163,7 +182,20 @@ def documents(draw):
         return document_for(ConeRep(form, n, rows(n), lin))
     if which == "poly_v":
         return document_for(PolytopeRep("V", n, rows(n)))
-    return document_for(PolytopeRep("H", n, rows(n + 1)))
+    if which == "poly_h":
+        return document_for(PolytopeRep("H", n, rows(n + 1)))
+    if which == "cert-no":
+        reason = draw(st.sampled_from([UNMATCHED_RAY, ONES_NOT_IN_SPAN, RANK_TOO_SMALL]))
+        convention = draw(st.sampled_from(["row", "column"]))
+        return document_for(NoCertificate(
+            reason, convention, maybe(rows(n, 1)[0]), maybe(rows(n, 1)[0])))
+    k = draw(st.integers(0, 3))
+    q = draw(st.integers(1, 4))
+    a = Matrix(rows(k), cols=k)
+    b = Matrix(rows(q, k), cols=q)
+    pair = (PolytopeRep("V", n, rows(n)),
+            PolytopeRep("H", n, rows(n + 1, draw(st.integers(0, 4)))))
+    return document_for(YesCertificate(a, b, maybe(rows(q, 1)[0]), maybe(pair)))
 
 
 class TestRoundTripProperties:

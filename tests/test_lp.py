@@ -3,41 +3,42 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from slackmat import lp_solve
-from slackmat.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, check_farkas, con, satisfies
+from slackmat.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, Constraint, check_farkas, satisfies
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 class TestExamples:
     def test_bounded_maximum(self):
-        out = lp_solve([1], [con([1], "<=", 1)], sense="max")
+        out = lp_solve([1], [Constraint([1], "<=", 1)], sense="max")
         assert out.status == OPTIMAL
         assert out.value == 1
         assert out.point == (F(1),)
 
     def test_infeasible_with_farkas(self):
-        cs = [con([1], "<=", -1), con([1], ">=", 0)]
+        cs = [Constraint([1], "<=", -1), Constraint([1], ">=", 0)]
         out = lp_solve([0], cs, sense="max")
         assert out.status == INFEASIBLE
         assert check_farkas(cs, out.farkas)
 
     def test_unbounded(self):
-        out = lp_solve([1], [con([1], ">=", 0)], sense="max")
+        out = lp_solve([1], [Constraint([1], ">=", 0)], sense="max")
         assert out.status == UNBOUNDED
 
     def test_equality_and_minimize(self):
-        cs = [con([1, 1], "==", 2), con([1, 0], ">=", 0), con([0, 1], ">=", 0)]
+        cs = [Constraint([1, 1], "==", 2), Constraint([1, 0], ">=", 0),
+              Constraint([0, 1], ">=", 0)]
         out = lp_solve([1, 0], cs, sense="min")
         assert out.status == OPTIMAL
         assert out.value == 0
 
     def test_degenerate_redundant_rows(self):
         cs = [
-            con([1, 0], "<=", 1),
-            con([1, 0], "<=", 1),
-            con([2, 0], "<=", 2),
-            con([0, 1], "<=", 0),
-            con([0, -1], "<=", 0),
+            Constraint([1, 0], "<=", 1),
+            Constraint([1, 0], "<=", 1),
+            Constraint([2, 0], "<=", 2),
+            Constraint([0, 1], "<=", 0),
+            Constraint([0, -1], "<=", 0),
         ]
         out = lp_solve([1, 1], cs, sense="max")
         assert out.status == OPTIMAL
@@ -53,7 +54,7 @@ def random_systems(draw):
         coeffs = draw(st.lists(fracs, min_size=n, max_size=n))
         rel = draw(st.sampled_from(["<=", ">=", "=="]))
         rhs = draw(fracs)
-        cs.append(con(coeffs, rel, rhs))
+        cs.append(Constraint(coeffs, rel, rhs))
     obj = draw(st.lists(fracs, min_size=n, max_size=n))
     sense = draw(st.sampled_from(["max", "min"]))
     return obj, cs, sense

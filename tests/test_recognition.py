@@ -282,6 +282,13 @@ class TestVerifyNoCertificate:
         cert = NoCertificate(UNMATCHED_RAY, witness=(F(1),), separator=(F(1),))
         assert not verify_no_certificate(COUNTEREXAMPLE, cert)
 
+    def test_unknown_convention_rejected(self):
+        cert = is_cone_slack(COUNTEREXAMPLE).certificate
+        assert cert.convention == "column" and verify_no_certificate(COUNTEREXAMPLE, cert)
+        for convention in ("diagonal", "Column", ""):
+            odd = NoCertificate(cert.reason, convention, cert.witness, cert.separator)
+            assert not verify_no_certificate(COUNTEREXAMPLE, odd)
+
 
 class TestReconstructCone:
     def test_identity_orthant(self):
