@@ -1,15 +1,19 @@
 """Exact dense rational linear algebra.
 
 The API is `fractions.Fraction`-exact, so equality tests are literal.  The
-loops run in Python ints: elimination clears each row's denominators once
-and is fraction-free, keeping rows primitive by their gcd, and Fractions are
-formed only for the result.
+loops run in Python ints, and Fractions are formed only where the API
+returns them.  Products clear the denominators of each left row and each
+right column once and sum integer products, one Fraction per entry.
+Elimination is fraction-free on rows cleared the same way and kept
+primitive by their gcd; `rank`, `solve_linear` and the kernels read the
+integer echelon form directly, and only `rref` builds the Fraction RREF.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -26,7 +30,8 @@ def vec(entries: Iterable) -> Vec:
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dot: length mismatch %d vs %d" % (len(u), len(v)))
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    (p, dp), (q, dq) = integer_vec(u), integer_vec(v)
+    return Fraction(sum(map(mul, p, q)), dp * dq)
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
@@ -44,14 +49,21 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
 
 def integer_vec(u: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """(ints, d) with u == ints / d; d > 0 is the lcm of the denominators."""
-    d = lcm(*(x.denominator for x in u))
-    return tuple(x.numerator * (d // x.denominator) for x in u), d
+    dens = [x.denominator for x in u]
+    d = lcm(*dens)
+    return tuple([x.numerator * (d // e) for x, e in zip(u, dens)]), d
 
 
 def primitive(u: Sequence[int]) -> tuple[int, ...]:
     """An int vector divided by the gcd of its entries; zero stays zero."""
     g = gcd(*u)
     return tuple(u) if g <= 1 else tuple(x // g for x in u)
+
+
+def _products(u, vs) -> list[Fraction]:
+    """u . v for each v, all given as (ints, d) pairs from `integer_vec`."""
+    p, dp = u
+    return [Fraction(sum(map(mul, p, q)), dp * dq) for q, dq in vs]
 
 
 class Matrix:
@@ -128,27 +140,24 @@ class Matrix:
             raise ValueError(
                 "matmul: %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols)
             )
-        cols = other.cols
-        out = []
-        for r in self.data:
-            out.append([
-                sum((r[k] * other.data[k][j] for k in range(self.cols)), Fraction(0))
-                for j in range(cols)
-            ])
-        return Matrix(out, cols=cols)
+        if self.cols == 0:
+            return Matrix.zero(self.rows, other.cols)
+        right = [integer_vec(c) for c in zip(*other.data)]
+        return Matrix([_products(integer_vec(r), right) for r in self.data],
+                      cols=other.cols)
 
     def matvec(self, x: Sequence[Fraction]) -> Vec:
         if len(x) != self.cols:
             raise ValueError("matvec: length mismatch")
-        return tuple(dot(r, x) for r in self.data)
+        xv = integer_vec(x)
+        return tuple(_products(xv, map(integer_vec, self.data)))
 
     def vecmat(self, y: Sequence[Fraction]) -> Vec:
         if len(y) != self.rows:
             raise ValueError("vecmat: length mismatch")
-        return tuple(
-            sum((y[i] * self.data[i][j] for i in range(self.rows)), Fraction(0))
-            for j in range(self.cols)
-        )
+        if self.rows == 0:
+            return (Fraction(0),) * self.cols
+        return tuple(_products(integer_vec(y), map(integer_vec, zip(*self.data))))
 
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for r in self.data for x in r)
@@ -172,16 +181,17 @@ class Matrix:
         )
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
-    """Reduced row-echelon form.
+def _echelon(rows: Iterable[Sequence[Fraction]], ncols: int):
+    """Fraction-free Gauss-Jordan elimination of rational rows, each
+    cleared of its denominators once.
 
-    Returns (reduced, pivot_columns, rank).  The RREF is unique, which makes
-    every construction built on it deterministic.
+    Returns (a, pivots): row i < len(pivots) of the RREF is a[i] divided by
+    a[i][pivots[i]], and the remaining rows of a are zero.
     """
     # A positive scaling of a row leaves the RREF as it is, and so does any
     # nonzero scaling of a row that is eliminated against a pivot row.
-    a = [primitive(integer_vec(r)[0]) for r in m.data]
-    nrows, ncols = m.rows, m.cols
+    a = [primitive(integer_vec(r)[0]) for r in rows]
+    nrows = len(a)
     pivots: list[int] = []
     pr = 0
     for pc in range(ncols):
@@ -203,18 +213,29 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
         pr += 1
         if pr == nrows:
             break
+    return a, tuple(pivots)
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
+    """Reduced row-echelon form.
+
+    Returns (reduced, pivot_columns, rank).  The RREF is unique, which makes
+    every construction built on it deterministic.
+    """
+    a, pivots = _echelon(m.data, m.cols)
+    rk = len(pivots)
     out = [[Fraction(x, a[i][pc]) for x in a[i]] for i, pc in enumerate(pivots)]
-    out += [[Fraction(0)] * ncols for _ in range(nrows - pr)]
-    return Matrix(out, cols=ncols), tuple(pivots), pr
+    out += [[Fraction(0)] * m.cols for _ in range(m.rows - rk)]
+    return Matrix(out, cols=m.cols), pivots, rk
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
+    return len(_echelon(m.data, m.cols)[1])
 
 
 def right_kernel_basis(m: Matrix) -> list[Vec]:
     """Basis of { x : m x = 0 }, one vector per free column of the RREF."""
-    r, pivots, rk = rref(m)
+    a, pivots = _echelon(m.data, m.cols)
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
@@ -222,7 +243,7 @@ def right_kernel_basis(m: Matrix) -> list[Vec]:
         x = [Fraction(0)] * m.cols
         x[f] = Fraction(1)
         for i, pc in enumerate(pivots):
-            x[pc] = -r.data[i][f]
+            x[pc] = Fraction(-a[i][f], a[i][pc])
         basis.append(tuple(x))
     return basis
 
@@ -240,13 +261,13 @@ def solve_linear(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
     """
     if len(b) != a.rows:
         raise ValueError("solve_linear: rhs length %d, expected %d" % (len(b), a.rows))
-    aug = a.hstack(Matrix([[x] for x in vec(b)], cols=1) if a.rows else Matrix([], cols=1))
-    r, pivots, rk = rref(aug)
-    if a.cols in pivots:
+    n = a.cols
+    aug, pivots = _echelon([r + (x,) for r, x in zip(a.data, vec(b))], n + 1)
+    if n in pivots:
         return None
-    x = [Fraction(0)] * a.cols
+    x = [Fraction(0)] * n
     for i, pc in enumerate(pivots):
-        x[pc] = r.data[i][a.cols]
+        x[pc] = Fraction(aug[i][n], aug[i][pc])
     return tuple(x)
 
 

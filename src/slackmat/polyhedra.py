@@ -238,8 +238,8 @@ def slack_of_cone(a: Matrix, b: Matrix) -> Matrix:
     return s
 
 
-def slack_of_polytope(v: PolytopeRep, h: PolytopeRep) -> Matrix:
-    """S_ij = beta_j - a_j . v_i; a negative entry means v is not inside h."""
+def _slack_numerators(v: PolytopeRep, h: PolytopeRep):
+    """Per point, the slack row as (numerator, denominator) int pairs."""
     if v.form != "V" or h.form != "H":
         raise ValueError("need a V-form polytope and an H-form polytope")
     if v.ambient_dim != h.ambient_dim:
@@ -247,14 +247,31 @@ def slack_of_polytope(v: PolytopeRep, h: PolytopeRep) -> Matrix:
     # With (beta, a) = (B, A) / dh and v = P / dp in integers, the slack is
     # (B dp - A.P) / (dh dp), so its sign is that of the numerator.
     ineqs = [(row[0], row[1:], dh) for row, dh in map(integer_vec, h.vectors)]
-    rows = []
     for pt in v.points():
         p, dp = integer_vec(pt)
         nums = [(beta * dp - sum(map(mul, a, p)), dh * dp) for beta, a, dh in ineqs]
         if any(x < 0 for x, _ in nums):
             raise ValueError("points are not contained in the H-polytope")
-        rows.append([Fraction(x, d) for x, d in nums])
-    return Matrix(rows, cols=len(ineqs))
+        yield nums
+
+
+def slack_of_polytope(v: PolytopeRep, h: PolytopeRep) -> Matrix:
+    """S_ij = beta_j - a_j . v_i; a negative entry means v is not inside h."""
+    rows = [[Fraction(x, d) for x, d in nums] for nums in _slack_numerators(v, h)]
+    return Matrix(rows, cols=len(h.vectors))
+
+
+def _slack_is_scaled(v: PolytopeRep, h: PolytopeRep,
+                     rows: Sequence[Vec], scale: Fraction) -> bool:
+    """Whether slack_of_polytope(v, h) equals scale times the matrix with the
+    given rows, decided by cross-multiplying ints; raises as that does."""
+    s, t = scale.numerator, scale.denominator
+    slack = list(_slack_numerators(v, h))
+    return len(slack) == len(rows) and all(
+        len(nums) == len(row) and all(
+            x * t * y.denominator == s * y.numerator * d
+            for (x, d), y in zip(nums, row))
+        for nums, row in zip(slack, rows))
 
 
 def _h_polytope_constraints(h: PolytopeRep) -> list[Constraint]:
@@ -303,10 +320,18 @@ def dimension(rep: ConeRep | PolytopeRep) -> int:
         return rank(Matrix(diffs, cols=n))
     else:
         constraints = _h_polytope_constraints(rep)
-    feas = lp.lp_solve([0] * n, constraints, sense="min")
-    if feas.status == lp.INFEASIBLE:
+    # Maximize a common slack t <= 1 added to every inequality: t* < 0 means
+    # no point, t* > 0 an interior point, and at t* = 0 the rows with slack
+    # at the optimum are not implicit equalities.
+    widened = [Constraint(ci.coeffs + (1 if ci.rel == lp.LE else -1,),
+                          ci.rel, ci.rhs) for ci in constraints]
+    widened.append(Constraint(unit(n + 1, n), lp.LE, 1))
+    out = lp.lp_solve(unit(n + 1, n), widened, sense="max")
+    if out.value < 0:
         raise EmptyPolyhedronError("empty")
-    normals = _implicit_equalities(constraints, [feas.point])
+    if out.value > 0:
+        return n
+    normals = _implicit_equalities(constraints, [out.point[:n]])
     return n - rank(Matrix(normals, cols=n))
 
 

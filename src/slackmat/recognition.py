@@ -28,9 +28,11 @@ from .matrix import (
     Matrix,
     Vec,
     dot,
+    integer_vec,
     is_zero_vec,
     left_kernel_basis,
     ones,
+    primitive,
     rank,
     rank_factorization,
     right_kernel_basis,
@@ -43,9 +45,9 @@ from .matrix import (
 from .polyhedra import (
     ConeRep,
     PolytopeRep,
+    _slack_is_scaled,
     canonical_ray,
     dd_h_to_v,
-    slack_of_polytope,
 )
 
 KIND_CONE = "cone"
@@ -111,13 +113,17 @@ def _separator(m: Matrix, x: Vec) -> Vec:
     return vsub(t, vscale(eps, x))
 
 
+def _ray_key(v: Vec) -> tuple[int, ...]:
+    """Primitive int form: equal for two nonzero vectors iff each is a
+    positive multiple of the other, as their canonical rays are."""
+    return primitive(integer_vec(v)[0])
+
+
 def _ccgc_with_factors(m: Matrix, a: Matrix, b: Matrix) -> RecognitionResult:
     k = dd_h_to_v(ConeRep("H", a.cols, a.data))
-    columns = {
-        canonical_ray(c) for c in b.columns() if not is_zero_vec(c)
-    }
+    columns = {_ray_key(c) for c in b.columns() if not is_zero_vec(c)}
     for y in k.vectors:
-        if y not in columns:
+        if _ray_key(y) not in columns:
             x = canonical_ray(a.matvec(y))
             cert = NoCertificate(UNMATCHED_RAY, "column", x, _separator(m, x))
             return RecognitionResult(False, KIND_CONE, cert)
@@ -177,7 +183,11 @@ def is_polytope_slack(m: Matrix) -> RecognitionResult:
     base = _ccgc_with_factors(m, a, b)
     if not base.verdict:
         return RecognitionResult(False, KIND_POLYTOPE, base.certificate)
-    mu = solve_linear(b, c)  # b is in RREF: mu is c on the pivot columns
+    # b is the RREF of m, so mu is c placed on its pivot columns.
+    mu = [Fraction(0)] * m.cols
+    for ci, row in zip(c, b.data):
+        mu[next(j for j, x in enumerate(row) if x != 0)] = ci
+    mu = tuple(mu)
     v, h, a2, b2 = _reconstruct_with_factors(m, a, b, c)
     cert = YesCertificate(a=a2, b=b2, mu=mu, polytope=(v, h))
     return RecognitionResult(True, KIND_POLYTOPE, cert)
@@ -246,7 +256,7 @@ def _reconstruct_with_factors(m, a, b, c):
     )
     v = PolytopeRep("V", k - 1, pts)
     h = PolytopeRep("H", k - 1, hrows)
-    if slack_of_polytope(v, h) != m:
+    if not _slack_is_scaled(v, h, m.data, Fraction(1)):
         raise AssertionError("reconstruction failed to reproduce the matrix")
     return v, h, a2, b2
 
@@ -334,7 +344,8 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
     slack matrices of K and K* are transposes) and rank(m^T) = rank(m), so
     only the all-ones vector in the row span is left.  In the certificate's
     factors m = a2 b2, with a2 injective and its first column all ones,
-    nu m = 1 iff w = nu a2 solves w b2 = 1, and alpha = sum(nu) = w[0] makes
+    nu m = 1 iff w = nu a2 solves w b2 = 1.  The only candidate w is written
+    in closed form and checked by one product, and alpha = sum(nu) = w[0] makes
     1 a convex combination of the rows of alpha m (y m = 1 gives sum(y) =
     1 . mu).  alpha m - J = a2 (alpha b2 - e0 1^T) is factorized on the right.
     """
@@ -343,28 +354,26 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
         raise ValueError("matrix is not a polytope slack matrix")
     a2, b2 = res.certificate.a, res.certificate.b
     q = m.cols
-    w = solve_linear(b2.transpose(), ones(q))
-    if w is None:
+    # b2 = U^-1 b with b in RREF, whose pivot columns are the identity; so
+    # w b2 = 1 forces w U^-1 = 1 there, that is w = 1^T U = (sum mu, 1, ..).
+    w = (sum(res.certificate.mu, Fraction(0)),) + ones(a2.cols - 1)
+    if b2.vecmat(w) != ones(q):
         raise ValueError("transpose is not a polytope slack matrix")
     alpha = w[0]
-    scaled = Matrix([[alpha * x for x in row] for row in m.data], cols=q)
     b3 = Matrix([tuple(alpha * x - 1 for x in b2.row(0))]
                 + [vscale(alpha, row) for row in b2.data[1:]], cols=q)
     a3, b = rank_factorization(b3)
     a = a2 * a3
     d = a.cols
+    normals = tuple(vscale(Fraction(-1), b.col(j)) for j in range(q))
     v = PolytopeRep("V", d, tuple(a.data))
-    h = PolytopeRep(
-        "H", d, tuple((Fraction(1),) + vscale(Fraction(-1), b.col(j))
-                      for j in range(q)),
-    )
-    if slack_of_polytope(v, h) != scaled:
+    h = PolytopeRep("H", d, tuple((Fraction(1),) + x for x in normals))
+    if not _slack_is_scaled(v, h, m.data, alpha):
         raise AssertionError("polar realization failed to reproduce the matrix")
     # The polar pair: vertices are the facet normals of P, facets come from
     # the vertices of P; its slack matrix is the transpose of the scaled one.
-    pv = PolytopeRep("V", d, tuple(vscale(Fraction(-1), b.col(j))
-                                   for j in range(q)))
+    pv = PolytopeRep("V", d, normals)
     ph = PolytopeRep("H", d, tuple((Fraction(1),) + row for row in a.data))
-    if slack_of_polytope(pv, ph) != scaled.transpose():
+    if not _slack_is_scaled(pv, ph, m.columns(), alpha):
         raise AssertionError("polar slack mismatch")
     return v, alpha

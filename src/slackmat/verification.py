@@ -54,7 +54,9 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
     tight on all of P.  Since Q lies in P, such an inequality is tight at
     every point of Q, so its column of the slack matrix is zero; every
     other column has slack at a point of P.  Only the zero columns get an
-    LP, and Q's points already show that P is not empty.
+    LP, and Q's points already show that P is not empty.  When both
+    dimensions are 0, P is the point Q; its slack matrix has rank below two
+    and is never recognized, so that case is decided first.
     """
     if q.form != "V" or p.form != "H":
         raise ValueError("need a V-polytope and an H-polyhedron")
@@ -68,6 +70,8 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
     dim_p = n - rank(Matrix(eqs, cols=n))
     if dim_q != dim_p:
         return VerificationResult(False, DIM_MISMATCH, dims=(dim_q, dim_p))
+    if dim_q == 0:
+        return VerificationResult(True, EQUAL)  # two single points, Q in P
     res = is_polytope_slack(m)
     if not res.verdict:
         return VerificationResult(False, SLACK_REJECT, witness=res.certificate)

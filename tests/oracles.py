@@ -41,6 +41,44 @@ from slackmat.recognition import (
 )
 
 
+def dot_reference(u, v) -> F:
+    """`dot` as one Fraction product per entry, summed from zero."""
+    if len(u) != len(v):
+        raise ValueError("dot: length mismatch %d vs %d" % (len(u), len(v)))
+    return sum((a * b for a, b in zip(u, v)), F(0))
+
+
+def matmul_reference(m: Matrix, other: Matrix) -> Matrix:
+    """`Matrix.__mul__` with Fraction products, entry by entry."""
+    if m.cols != other.rows:
+        raise ValueError(
+            "matmul: %dx%d by %dx%d" % (m.rows, m.cols, other.rows, other.cols)
+        )
+    cols = other.cols
+    out = []
+    for r in m.data:
+        out.append([
+            sum((r[k] * other.data[k][j] for k in range(m.cols)), F(0))
+            for j in range(cols)
+        ])
+    return Matrix(out, cols=cols)
+
+
+def matvec_reference(m: Matrix, x) -> Vec:
+    if len(x) != m.cols:
+        raise ValueError("matvec: length mismatch")
+    return tuple(dot_reference(r, x) for r in m.data)
+
+
+def vecmat_reference(m: Matrix, y) -> Vec:
+    if len(y) != m.rows:
+        raise ValueError("vecmat: length mismatch")
+    return tuple(
+        sum((y[i] * m.data[i][j] for i in range(m.rows)), F(0))
+        for j in range(m.cols)
+    )
+
+
 def sympy_rank(m: Matrix) -> int:
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in m.data]).rank()
 
@@ -51,6 +89,26 @@ def sympy_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     r, pivots = sympy.Matrix(m.rows, m.cols, entries).rref()
     rows = [[F(int(x.p), int(x.q)) for x in r.row(i)] for i in range(r.rows)]
     return Matrix(rows, cols=m.cols), tuple(pivots)
+
+
+def sympy_solve(m: Matrix, b) -> Vec | None:
+    """The solution of m x = b with free variables zero, read off sympy's
+    RREF of the augmented matrix; None if the system is inconsistent."""
+    aug = Matrix([r + (F(x),) for r, x in zip(m.data, b)], cols=m.cols + 1)
+    r, pivots = sympy_rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [F(0)] * m.cols
+    for i, pc in enumerate(pivots):
+        x[pc] = r.data[i][m.cols]
+    return tuple(x)
+
+
+def sympy_nullspace(m: Matrix) -> list[Vec]:
+    """sympy's right kernel basis: one vector per free column."""
+    entries = [sympy.Rational(x.numerator, x.denominator) for row in m.data for x in row]
+    basis = sympy.Matrix(m.rows, m.cols, entries).nullspace()
+    return [tuple(F(int(x.p), int(x.q)) for x in v) for v in basis]
 
 
 def brute_force_rays(normals, n):

@@ -173,6 +173,13 @@ class TestVerify:
         assert run(["verify", "--vrep", fv, "--hrep", fh]) == 0
         assert capsys.readouterr().out.strip() == "VERIFY equal"
 
+    def test_single_point_equal(self, tmp_path, capsys):
+        fv = write_doc(tmp_path / "p.ext", PolytopeRep("V", 1, ((0,),)))
+        fh = write_doc(tmp_path / "p.ine",
+                       PolytopeRep("H", 1, ((0, 1), (0, -1))))
+        assert run(["verify", "--vrep", fv, "--hrep", fh]) == 0
+        assert capsys.readouterr().out.strip() == "VERIFY equal"
+
     def test_missing_vertex(self, tmp_path, capsys):
         from slackmat import PolytopeRep
 

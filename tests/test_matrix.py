@@ -7,7 +7,16 @@ from slackmat import Matrix, left_kernel_basis, rank, rank_factorization, rref, 
 from slackmat.matrix import dot, inverse, is_zero_vec, ones, right_kernel_basis, unit
 
 from golden import COUNTEREXAMPLE, PRISM, SQUARE_HOMOG
-from oracles import sympy_rank, sympy_rref
+from oracles import (
+    dot_reference,
+    matmul_reference,
+    matvec_reference,
+    sympy_nullspace,
+    sympy_rank,
+    sympy_rref,
+    sympy_solve,
+    vecmat_reference,
+)
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -47,6 +56,65 @@ def rref_inputs(draw, max_rows=5, max_cols=5):
     return Matrix(rows, cols=q)
 
 
+def wide_matrix(draw, p, q):
+    rows = draw(st.lists(st.lists(wide_fracs, min_size=q, max_size=q),
+                         min_size=p, max_size=p))
+    return Matrix(rows, cols=q)
+
+
+@st.composite
+def product_operands(draw, max_dim=4):
+    """(a, b, x, y): a p x k, b k x q, x of length k, y of length p, with
+    every dimension from 0 up."""
+    p, k, q = (draw(st.integers(0, max_dim)) for _ in range(3))
+    a, b = wide_matrix(draw, p, k), wide_matrix(draw, k, q)
+    x = draw(st.lists(wide_fracs, min_size=k, max_size=k))
+    y = draw(st.lists(wide_fracs, min_size=p, max_size=p))
+    return a, b, tuple(x), tuple(y)
+
+
+class TestIntegerProducts:
+    """The integer products give exactly the Fraction loops' results."""
+
+    @given(product_operands())
+    @example((Matrix([[], []], cols=0), Matrix([], cols=3), (), (F(1), F(2))))
+    @example((Matrix([], cols=0), Matrix([], cols=0), (), ()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_loops(self, operands):
+        a, b, x, y = operands
+        assert a * b == matmul_reference(a, b)
+        assert a.matvec(x) == matvec_reference(a, x)
+        assert a.vecmat(y) == vecmat_reference(a, y)
+        assert dot(x, x) == dot_reference(x, x)
+        assert all(type(v) is F for v in a.matvec(x) + a.vecmat(y))
+
+    def test_empty_inner_dimension_gives_zeros(self):
+        a, b = Matrix([[], []], cols=0), Matrix([], cols=3)
+        assert a * b == Matrix.zero(2, 3)
+        assert Matrix([], cols=3).vecmat(()) == (F(0),) * 3
+        assert dot((), ()) == 0
+
+    def test_length_mismatch_raises(self):
+        for call in (lambda: Matrix.identity(2) * Matrix.identity(3),
+                     lambda: Matrix.identity(2).matvec(ones(3)),
+                     lambda: Matrix.identity(2).vecmat(ones(3)),
+                     lambda: dot(ones(2), ones(3))):
+            with pytest.raises(ValueError):
+                call()
+
+
+@st.composite
+def systems(draw):
+    """(m, b) with m from `rref_inputs`; b is in the column span of m or
+    arbitrary."""
+    m = draw(rref_inputs())
+    if draw(st.booleans()):
+        b = m.matvec(draw(st.lists(wide_fracs, min_size=m.cols, max_size=m.cols)))
+    else:
+        b = tuple(draw(st.lists(wide_fracs, min_size=m.rows, max_size=m.rows)))
+    return m, b
+
+
 class TestRref:
     def test_identity(self):
         r, pivots, rk = rref(Matrix.identity(3))
@@ -83,6 +151,18 @@ class TestRref:
         r, pivots, rk = rref(m)
         assert (r, pivots) == sympy_rref(m)
         assert rk == len(pivots)
+
+    @given(systems())
+    @example((Matrix([], cols=3), ()))
+    @example((Matrix([[], [], []], cols=0), (F(0), F(1), F(0))))
+    @settings(max_examples=200, deadline=None)
+    def test_echelon_reads_match_sympy(self, system):
+        """rank, solve_linear and the right kernel read the integer echelon
+        form without the Fraction RREF; each agrees with sympy."""
+        m, b = system
+        assert rank(m) == sympy_rank(m)
+        assert right_kernel_basis(m) == sympy_nullspace(m)
+        assert solve_linear(m, b) == sympy_solve(m, b)
 
 
 class TestKernels:

@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from slackmat import (
     ConeRep,
     Matrix,
+    lp,
     PolytopeRep,
     canonical_ray,
     dd_h_to_v,
@@ -22,6 +25,7 @@ from slackmat import (
 from slackmat.matrix import dot, rank, unit
 from slackmat.polyhedra import (
     EmptyPolyhedronError,
+    _slack_is_scaled,
     contains_origin_interior,
     facet_inequalities,
     vertices_of_h_polytope,
@@ -231,6 +235,40 @@ class TestSlackOfPolytope:
                 [[]] * len(v.vectors), cols=0)
 
 
+def _times(scale, m):
+    return Matrix([[scale * x for x in row] for row in m.data], cols=m.cols)
+
+
+class TestIntegerReproductionCheck:
+    """`_slack_is_scaled(v, h, m.data, scale)` decides
+    slack_of_polytope(v, h) == scale * m without forming that matrix."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_fraction_comparison(self, seed):
+        r = rng(seed)
+        for _ in range(20):
+            v, h = random_polytope(r)
+            s = slack_of_polytope(v, h)
+            scale = F(r.randint(1, 2**40), r.randint(1, 2**40))
+            m = _times(1 / scale, s)
+            i, j = r.randrange(s.rows), r.randrange(s.cols)
+            changed = Matrix(
+                [[x + F(1, 7) if (k, l) == (i, j) else x
+                  for l, x in enumerate(row)] for k, row in enumerate(m.data)],
+                cols=m.cols)
+            cases = [(m, scale, True), (changed, scale, False),
+                     (m, scale * F(8, 7), False),
+                     (Matrix(m.data[1:], cols=m.cols), scale, False)]
+            for mm, sc, want in cases:
+                assert (slack_of_polytope(v, h) == _times(sc, mm)) == want
+                assert _slack_is_scaled(v, h, mm.data, sc) == want
+
+    def test_outside_point_raises_like_slack_of_polytope(self):
+        v = PolytopeRep("V", 2, ((2, 0),))
+        with pytest.raises(ValueError, match="not contained"):
+            _slack_is_scaled(v, SQUARE_FACETS, ((F(0),) * 4,), F(1))
+
+
 class TestDimension:
     def test_prism_v_form(self):
         assert dimension(PRISM_VERTICES) == 3
@@ -252,6 +290,50 @@ class TestDimension:
 
     def test_homogenization_adds_one(self):
         assert dimension(homogenize(PRISM_VERTICES)) == dimension(PRISM_VERTICES) + 1
+
+    def test_cone_h_form_with_lineality(self):
+        # x + y >= 0 and -x - y >= 0 in R^3: a plane.
+        assert dimension(ConeRep("H", 3, ((1, 1, 0), (-1, -1, 0)))) == 2
+
+
+def _cyclic(n, d):
+    return PolytopeRep("V", d, tuple(tuple(F(t) ** k for k in range(1, d + 1))
+                                     for t in range(1, n + 1)))
+
+
+CUBE3_VERTICES = PolytopeRep("V", 3, tuple(itertools.product((0, 1), repeat=3)))
+
+
+class TestDimensionLpCount:
+    """A full-dimensional H-form takes one LP: the largest slack common to
+    every inequality is positive."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        lp_solve = lp.lp_solve
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lp_solve(*args, **kwargs)
+
+        for n, mod in list(sys.modules.items()):
+            if n == "slackmat" or n.startswith("slackmat."):
+                for attr, value in list(vars(mod).items()):
+                    if value is lp_solve:
+                        monkeypatch.setattr(mod, attr, counting)
+        return calls
+
+    @pytest.mark.parametrize("v", [
+        _cyclic(7, 4), _cyclic(6, 4), _cyclic(7, 3), CUBE3_VERTICES,
+    ], ids=["cyclic7-4", "cyclic6-4", "cyclic7-3", "cube3"])
+    def test_one_lp(self, lp_calls, v):
+        h = facet_inequalities(v)
+        lp_calls.clear()
+        assert dimension(h) == v.ambient_dim
+        assert len(lp_calls) == 1
+        assert dimension(homogenize(h)) == v.ambient_dim + 1
+        assert len(lp_calls) == 2
 
 
 class TestPolar:

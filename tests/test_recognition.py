@@ -543,6 +543,45 @@ class TestRankCoordinateSolves:
             assert wide == ([m] if m.rows > r + 1 and m.cols > r + 1 else [])
 
 
+class TestClosedFormSolves:
+    """mu and the polar scale are read off the certificate in closed form:
+    after the rank factorization, recognition solves one system (a c = 1,
+    with p rows) and the polar realization adds none."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The row count of every solve_linear system, in call order."""
+        solve_linear = matrix.solve_linear
+        rows = []
+
+        def recording(a, b):
+            rows.append(a.rows)
+            return solve_linear(a, b)
+
+        for n, mod in list(sys.modules.items()):
+            if n == "slackmat" or n.startswith("slackmat."):
+                for attr, value in list(vars(mod).items()):
+                    if value is solve_linear:
+                        monkeypatch.setattr(mod, attr, recording)
+        return rows
+
+    @pytest.mark.parametrize("m", [PRISM_SCALED, CUBE3_CENTRED, CUBE4_CENTRED],
+                             ids=["prism-scaled", "cube3-centred",
+                                  "cube4-centred"])
+    def test_one_solve(self, solves, m):
+        assert m.rows != m.cols
+        assert is_polytope_slack(m).verdict
+        assert solves == [m.rows]
+        solves.clear()
+        polar_realization(m)
+        assert solves == [m.rows]
+
+    def test_transpose_rejected_without_a_solve(self, solves):
+        with pytest.raises(ValueError, match="transpose"):
+            polar_realization(PRISM)
+        assert solves == [PRISM.rows]
+
+
 class TestProperties:
     @given(nonneg_matrices())
     @settings(max_examples=60, deadline=None)

@@ -68,6 +68,19 @@ class TestVerifyEquality:
         assert res.reason == DIM_MISMATCH
         assert res.dims == (1, 2)
 
+    @pytest.mark.parametrize("q, p", [
+        (PolytopeRep("V", 0, ((),)), PolytopeRep("H", 0, ())),
+        (PolytopeRep("V", 1, ((0,),)), PolytopeRep("H", 1, ((0, 1), (0, -1)))),
+        # (1, 2, 3) cut out by three equality pairs, and one slack row.
+        (PolytopeRep("V", 3, ((1, 2, 3),)),
+         PolytopeRep("H", 3, ((1, 1, 0, 0), (-1, -1, 0, 0), (2, 0, 1, 0),
+                              (-2, 0, -1, 0), (3, 0, 0, 1), (-3, 0, 0, -1),
+                              (7, 1, 1, 1)))),
+    ], ids=["R0", "R1", "R3"])
+    def test_single_point_equal(self, q, p):
+        res = verify_polytope_equality(q, p)
+        assert res.equal and res.reason == EQUAL
+
     def test_containment_violation_raises(self):
         q = PolytopeRep("V", 2, ((3, 0),))
         with pytest.raises(ValueError):
