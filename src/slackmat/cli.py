@@ -45,11 +45,17 @@ def _load(path: str, kinds: tuple[str, ...]) -> Document:
     return doc
 
 
-def _write(path: str, payload) -> None:
+def _write(*outputs) -> None:
+    """Write a document per (path, payload) pair, each serialized before
+    any file is opened: a document that cannot be written leaves no file."""
+    texts, path = [], None
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(formats.serialize(document_for(payload)))
-    except OSError as e:
+        for path, payload in outputs:
+            texts.append((path, formats.serialize(document_for(payload))))
+        for path, text in texts:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except (OSError, ValueError) as e:  # ValueError: a number too long to print
         raise CliError("cannot write %s: %s" % (path, e))
 
 
@@ -58,9 +64,11 @@ def _emit(args, line: str) -> None:
         print(line)
 
 
-def _save_certificate(args, cert) -> None:
+def _save_certificate(args, cert, *outputs) -> None:
+    """Write the certificate, when asked for, ahead of the other outputs."""
     if getattr(args, "certificate", None):
-        _write(args.certificate, cert)
+        outputs = ((args.certificate, cert),) + outputs
+    _write(*outputs)
 
 
 def _cmd_check_cone(args) -> int:
@@ -98,13 +106,12 @@ def _cmd_check_polytope(args) -> int:
 def _cmd_reconstruct(args) -> int:
     m: Matrix = _load(args.file, (formats.MATRIX,)).payload
     res = recognition.is_polytope_slack(m)
-    _save_certificate(args, res.certificate)
     if not res.verdict:
+        _save_certificate(args, res.certificate)
         _emit(args, "POLYTOPE-SLACK no reason=%s" % res.certificate.reason)
         return 1
     v, h = res.certificate.polytope
-    _write(args.out_v, v)
-    _write(args.out_h, h)
+    _save_certificate(args, res.certificate, (args.out_v, v), (args.out_h, h))
     _emit(
         args,
         "RECONSTRUCTED vertices=%d facets=%d dim=%d"
@@ -169,7 +176,7 @@ def _cmd_polar_realize(args) -> int:
     m: Matrix = _load(args.file, (formats.MATRIX,)).payload
     p, scale = recognition.polar_realization(m)
     if args.out_v:
-        _write(args.out_v, p)
+        _write((args.out_v, p))
     _emit(
         args,
         "POLAR-REALIZED scale=%s vertices=%d dim=%d"

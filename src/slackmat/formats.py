@@ -16,6 +16,7 @@ files are diff-able and parse/serialize round-trips are exact.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -53,7 +54,11 @@ class Document:
 
 
 def _fmt_row(row: Sequence[Fraction]) -> str:
-    return " ".join(str(x) for x in row)  # Fraction prints reduced, "a" or "a/b"
+    try:
+        return " ".join(str(x) for x in row)  # Fraction prints reduced, "a" or "a/b"
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise ValueError("a number has more than %d digits"
+                         % sys.get_int_max_str_digits()) from None
 
 
 def _shown(tok: str) -> str:

@@ -91,6 +91,16 @@ class Matrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
 
+    @classmethod
+    def _of(cls, rows: tuple[Vec, ...], cols: int) -> "Matrix":
+        """A matrix of trusted rows: a tuple of Fraction tuples, each of
+        length `cols`, taken as they are."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", rows)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -132,8 +142,8 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         if self.rows == 0:
-            return Matrix([[] for _ in range(self.cols)] if self.cols else [], cols=0)
-        return Matrix(zip(*self.data), cols=self.rows)
+            return Matrix._of(((),) * self.cols, 0)
+        return Matrix._of(tuple(zip(*self.data)), self.rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -143,8 +153,8 @@ class Matrix:
         if self.cols == 0:
             return Matrix.zero(self.rows, other.cols)
         right = [integer_vec(c) for c in zip(*other.data)]
-        return Matrix([_products(integer_vec(r), right) for r in self.data],
-                      cols=other.cols)
+        return Matrix._of(tuple(tuple(_products(integer_vec(r), right))
+                                for r in self.data), other.cols)
 
     def matvec(self, x: Sequence[Fraction]) -> Vec:
         if len(x) != self.cols:
@@ -160,25 +170,23 @@ class Matrix:
         return tuple(_products(integer_vec(y), map(integer_vec, zip(*self.data))))
 
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for r in self.data for x in r)
+        return all(x.numerator >= 0 for r in self.data for x in r)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("hstack: row mismatch")
-        return Matrix(
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-            cols=self.cols + other.cols,
-        )
+        return Matrix._of(tuple(r + s for r, s in zip(self.data, other.data)),
+                          self.cols + other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("vstack: column mismatch")
-        return Matrix(self.data + other.data, cols=self.cols)
+        return Matrix._of(self.data + other.data, self.cols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(
-            [[self.data[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx)
-        )
+        return Matrix._of(
+            tuple(tuple(self.data[i][j] for j in col_idx) for i in row_idx),
+            len(col_idx))
 
 
 def _echelon(rows: Iterable[Sequence[Fraction]], ncols: int):
@@ -224,9 +232,10 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """
     a, pivots = _echelon(m.data, m.cols)
     rk = len(pivots)
-    out = [[Fraction(x, a[i][pc]) for x in a[i]] for i, pc in enumerate(pivots)]
-    out += [[Fraction(0)] * m.cols for _ in range(m.rows - rk)]
-    return Matrix(out, cols=m.cols), pivots, rk
+    out = tuple(tuple(Fraction(x, a[i][pc]) for x in a[i])
+                for i, pc in enumerate(pivots))
+    out += ((Fraction(0),) * m.cols,) * (m.rows - rk)
+    return Matrix._of(out, m.cols), pivots, rk
 
 
 def rank(m: Matrix) -> int:
@@ -279,7 +288,7 @@ def rank_factorization(m: Matrix) -> tuple[Matrix, Matrix]:
     """
     r, pivots, rk = rref(m)
     a = m.submatrix(range(m.rows), pivots)
-    b = Matrix([r.data[i] for i in range(rk)], cols=m.cols)
+    b = Matrix._of(r.data[:rk], m.cols)
     return a, b
 
 

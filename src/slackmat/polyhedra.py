@@ -129,19 +129,13 @@ def _project_off(v: Vec, basis: Sequence[Vec]) -> Vec:
     return out
 
 
-def dd_h_to_v(h: ConeRep) -> ConeRep:
-    """Minimal V-representation of an H-form cone via double description.
-
-    Output rays are canonical, live in the orthogonal complement of the
-    lineality space, and are sorted; the lineality basis is in RREF.
-    """
-    if h.form != "H":
-        raise ValueError("expected H-form cone")
-    n = h.ambient_dim
+def _dd(rows: Sequence[tuple[int, ...]], n: int):
+    """Double description of {x in R^n : b.x >= 0} over primitive int rows:
+    (rays, lin), the extreme rays as (primitive int ray, zero set) pairs, bit
+    k of a zero set set iff row k is tight, and int vectors spanning the
+    lineality space.  Rays are unique only up to that space."""
     lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    # (ray, zero set): bit k of the zero set is set iff row k is tight on it.
     rays: list[tuple[tuple[int, ...], int]] = []
-    rows = [primitive(integer_vec(b)[0]) for b in h.vectors]
     for k, b in enumerate(rows):
         bit = 1 << k
         vals = [sum(map(mul, b, w)) for w in lin]
@@ -172,6 +166,19 @@ def dd_h_to_v(h: ConeRep) -> ConeRep:
                     if all(z & common != common for z in zs if z != zm and z != zp):
                         comb = primitive([sp * x - sm * y for x, y in zip(rm, rp)])
                         rays.append((comb, common | bit))
+    return rays, lin
+
+
+def dd_h_to_v(h: ConeRep) -> ConeRep:
+    """Minimal V-representation of an H-form cone via double description.
+
+    Output rays are canonical, live in the orthogonal complement of the
+    lineality space, and are sorted; the lineality basis is in RREF.
+    """
+    if h.form != "H":
+        raise ValueError("expected H-form cone")
+    n = h.ambient_dim
+    rays, lin = _dd([primitive(integer_vec(b)[0]) for b in h.vectors], n)
     lin_basis = _lineality_rref_basis(lin, n) if lin else ()
     out = []
     for r, _ in rays:

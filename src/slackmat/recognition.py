@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .matrix import (
@@ -45,6 +46,7 @@ from .matrix import (
 from .polyhedra import (
     ConeRep,
     PolytopeRep,
+    _dd,
     _slack_is_scaled,
     canonical_ray,
     dd_h_to_v,
@@ -107,26 +109,32 @@ def _separator(m: Matrix, x: Vec) -> Vec:
     t indicates the zero set of the unmatched extreme ray x; a nonzero column
     with t . M_j = 0 would be a multiple of x, so eps > 0 exists.
     """
-    t = tuple(Fraction(xi == 0) for xi in x)
-    ratios = [dot(t, c) / dot(x, c) for c in m.columns() if dot(x, c) > 0]
-    eps = min(ratios, default=Fraction(1))
-    return vsub(t, vscale(eps, x))
-
-
-def _ray_key(v: Vec) -> tuple[int, ...]:
-    """Primitive int form: equal for two nonzero vectors iff each is a
-    positive multiple of the other, as their canonical rays are."""
-    return primitive(integer_vec(v)[0])
+    # With x = p / d and a column cleared to ints C, t.M_j / x.M_j is
+    # d (t.C) / (p.C); eps = d en / ed is the least of these, or 1.
+    p, d = integer_vec(x)
+    least = None
+    for col in zip(*m.data):
+        c = integer_vec(col)[0]
+        s = sum(map(mul, p, c))
+        if s > 0:
+            t = sum(y for y, pi in zip(c, p) if pi == 0)
+            if least is None or t * least[1] < least[0] * s:
+                least = (t, s)
+    en, ed = least or (1, d)
+    return tuple(Fraction(ed * (pi == 0) - en * pi, ed) for pi in p)
 
 
 def _ccgc_with_factors(m: Matrix, a: Matrix, b: Matrix) -> RecognitionResult:
-    k = dd_h_to_v(ConeRep("H", a.cols, a.data))
-    columns = {_ray_key(c) for c in b.columns() if not is_zero_vec(c)}
-    for y in k.vectors:
-        if _ray_key(y) not in columns:
-            x = canonical_ray(a.matvec(y))
-            cert = NoCertificate(UNMATCHED_RAY, "column", x, _separator(m, x))
-            return RecognitionResult(False, KIND_CONE, cert)
+    # a is injective, so the cone is pointed and its extreme rays are _dd's
+    # primitive int rays, each equal to a primitive column iff a positive
+    # multiple of it.  The first unmatched ray in canonical order is refuted.
+    rays, _ = _dd([primitive(integer_vec(r)[0]) for r in a.data], a.cols)
+    columns = {primitive(integer_vec(c)[0]) for c in zip(*b.data) if any(c)}
+    unmatched = [y for y, _ in rays if y not in columns]
+    if unmatched:
+        x = canonical_ray(a.matvec(min(unmatched, key=canonical_ray)))
+        cert = NoCertificate(UNMATCHED_RAY, "column", x, _separator(m, x))
+        return RecognitionResult(False, KIND_CONE, cert)
     return RecognitionResult(True, KIND_CONE, YesCertificate(a=a, b=b))
 
 
@@ -162,12 +170,9 @@ def is_cone_slack(m: Matrix) -> RecognitionResult:
     return ccgc_check(m)
 
 
-def is_polytope_slack(m: Matrix) -> RecognitionResult:
-    """Is m a slack matrix of some polytope?
-
-    Requires rank at least two, the all-ones vector in the column span, and
-    the CCGC; the yes-certificate carries a realized polytope.
-    """
+def _polytope_verdict(m: Matrix) -> RecognitionResult | tuple[Matrix, Matrix, Vec]:
+    """The polytope verdict alone: the NO result, or the factors (a, b, c)
+    of m = a b, b in RREF, with a c = 1."""
     _require_nonnegative(m)
     a, b = rank_factorization(m)
     if a.cols < 2:
@@ -183,6 +188,19 @@ def is_polytope_slack(m: Matrix) -> RecognitionResult:
     base = _ccgc_with_factors(m, a, b)
     if not base.verdict:
         return RecognitionResult(False, KIND_POLYTOPE, base.certificate)
+    return a, b, c
+
+
+def is_polytope_slack(m: Matrix) -> RecognitionResult:
+    """Is m a slack matrix of some polytope?
+
+    Requires rank at least two, the all-ones vector in the column span, and
+    the CCGC; the yes-certificate carries a realized polytope.
+    """
+    verdict = _polytope_verdict(m)
+    if isinstance(verdict, RecognitionResult):
+        return verdict
+    a, b, c = verdict
     # b is the RREF of m, so mu is c placed on its pivot columns.
     mu = [Fraction(0)] * m.cols
     for ci, row in zip(c, b.data):
@@ -240,20 +258,30 @@ def reconstruct_cone(m: Matrix) -> tuple[ConeRep, ConeRep]:
     return v, h
 
 
+def _basis_change(a: Matrix, b: Matrix, c: Vec):
+    """(a U, rows, d) for U = [c | e_j, j != i0], a c = 1: a U is [1 | a
+    less column i0], and U^-1 b, with rows b_i0 / c_i0 and b_j - c_j b_i0 /
+    c_i0, is rows / d in ints (f B_i0 and C_i0 B_j - C_j B_i0 over e C_i0,
+    for b = B / e and c = C / f)."""
+    q = b.cols
+    cs, f = integer_vec(c)
+    i0 = next(i for i, x in enumerate(cs) if x != 0)
+    flat, e = integer_vec([x for row in b.data for x in row])
+    top, ci = flat[i0 * q:(i0 + 1) * q], cs[i0]
+    rows = [[f * x for x in top]] + [
+        [ci * x - cj * y for x, y in zip(flat[j * q:(j + 1) * q], top)]
+        for j, cj in enumerate(cs) if j != i0]
+    one = Fraction(1)
+    a2 = Matrix._of(tuple((one,) + r[:i0] + r[i0 + 1:] for r in a.data), a.cols)
+    return a2, rows, e * ci
+
+
 def _reconstruct_with_factors(m, a, b, c):
-    # The basis change U = [c | e_j, j != i0], a c = 1, in closed form: a U is
-    # [1 | a less column i0]; U^-1 b has rows b0 = b_i0 / c_i0, b_j - c_j b0.
+    a2, rows, d = _basis_change(a, b, c)
     k = a.cols
-    i0 = next(i for i, x in enumerate(c) if x != 0)
-    a2 = Matrix([(Fraction(1),) + r[:i0] + r[i0 + 1:] for r in a.data], cols=k)
-    b0 = vscale(Fraction(1) / c[i0], b.row(i0))
-    b2 = Matrix([b0] + [vsub(b.row(j), vscale(c[j], b0))
-                        for j in range(k) if j != i0], cols=b.cols)
+    b2 = Matrix._of(tuple(tuple(Fraction(x, d) for x in r) for r in rows), b.cols)
     pts = tuple(row[1:] for row in a2.data)
-    hrows = tuple(
-        (b2[0, j],) + tuple(-b2[i, j] for i in range(1, k))
-        for j in range(b2.cols)
-    )
+    hrows = tuple((col[0],) + tuple(-x for x in col[1:]) for col in zip(*b2.data))
     v = PolytopeRep("V", k - 1, pts)
     h = PolytopeRep("H", k - 1, hrows)
     if not _slack_is_scaled(v, h, m.data, Fraction(1)):
@@ -349,23 +377,28 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
     1 a convex combination of the rows of alpha m (y m = 1 gives sum(y) =
     1 . mu).  alpha m - J = a2 (alpha b2 - e0 1^T) is factorized on the right.
     """
-    res = is_polytope_slack(m)
-    if not res.verdict:
+    verdict = _polytope_verdict(m)
+    if isinstance(verdict, RecognitionResult):
         raise ValueError("matrix is not a polytope slack matrix")
-    a2, b2 = res.certificate.a, res.certificate.b
+    a, b, c = verdict
+    a2, rows, den = _basis_change(a, b, c)
     q = m.cols
     # b2 = U^-1 b with b in RREF, whose pivot columns are the identity; so
     # w b2 = 1 forces w U^-1 = 1 there, that is w = 1^T U = (sum mu, 1, ..).
-    w = (sum(res.certificate.mu, Fraction(0)),) + ones(a2.cols - 1)
-    if b2.vecmat(w) != ones(q):
+    # With b2 = rows / den and alpha = s / t, w b2 = 1 is checked in ints.
+    alpha = sum(c, Fraction(0))
+    s, t = alpha.numerator, alpha.denominator
+    td = t * den
+    if any(s * x + t * sum(col) != td for x, *col in zip(*rows)):
         raise ValueError("transpose is not a polytope slack matrix")
-    alpha = w[0]
-    b3 = Matrix([tuple(alpha * x - 1 for x in b2.row(0))]
-                + [vscale(alpha, row) for row in b2.data[1:]], cols=q)
+    b3 = Matrix._of(  # alpha b2 - e0 1^T
+        (tuple(Fraction(s * x - td, td) for x in rows[0]),)
+        + tuple(tuple(Fraction(s * x, td) for x in row) for row in rows[1:]),
+        q)
     a3, b = rank_factorization(b3)
     a = a2 * a3
     d = a.cols
-    normals = tuple(vscale(Fraction(-1), b.col(j)) for j in range(q))
+    normals = tuple(tuple(-x for x in col) for col in zip(*b.data))
     v = PolytopeRep("V", d, tuple(a.data))
     h = PolytopeRep("H", d, tuple((Fraction(1),) + x for x in normals))
     if not _slack_is_scaled(v, h, m.data, alpha):

@@ -14,7 +14,7 @@ from .polyhedra import (
     dimension,
     slack_of_polytope,
 )
-from .recognition import NoCertificate, is_polytope_slack
+from .recognition import NoCertificate, RecognitionResult, _polytope_verdict
 
 EQUAL = "equal"
 NOT_POINTED = "not_pointed"
@@ -72,7 +72,7 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
         return VerificationResult(False, DIM_MISMATCH, dims=(dim_q, dim_p))
     if dim_q == 0:
         return VerificationResult(True, EQUAL)  # two single points, Q in P
-    res = is_polytope_slack(m)
-    if not res.verdict:
+    res = _polytope_verdict(m)
+    if isinstance(res, RecognitionResult):
         return VerificationResult(False, SLACK_REJECT, witness=res.certificate)
     return VerificationResult(True, EQUAL)

@@ -17,10 +17,12 @@ from slackmat.lp import EQ, GE, OPTIMAL, Constraint, lp_solve
 from slackmat.matrix import (
     Vec,
     dot,
+    integer_vec,
     inverse,
     is_zero_vec,
     left_kernel_basis,
     ones,
+    primitive,
     rank,
     rank_factorization,
     right_kernel_basis,
@@ -29,15 +31,30 @@ from slackmat.matrix import (
     vscale,
     vsub,
 )
-from slackmat.polyhedra import _lineality_rref_basis, _project_off
+from slackmat.polyhedra import (
+    _h_polytope_constraints,
+    _implicit_equalities,
+    _lineality_rref_basis,
+    _project_off,
+    dd_h_to_v,
+    dimension,
+)
 from slackmat.recognition import (
+    KIND_CONE,
     KIND_POLYTOPE,
     ONES_NOT_IN_SPAN,
     RANK_TOO_SMALL,
+    UNMATCHED_RAY,
     NoCertificate,
     RecognitionResult,
     YesCertificate,
-    _ccgc_with_factors,
+)
+from slackmat.verification import (
+    DIM_MISMATCH,
+    EQUAL,
+    NOT_POINTED,
+    SLACK_REJECT,
+    VerificationResult,
 )
 
 
@@ -244,7 +261,7 @@ def polytope_slack_wide_reference(m: Matrix) -> RecognitionResult:
         )
         cert = NoCertificate(ONES_NOT_IN_SPAN, witness=z)
         return RecognitionResult(False, KIND_POLYTOPE, cert)
-    base = _ccgc_with_factors(m, a, b)
+    base = ccgc_fraction_reference(m, a, b)
     if not base.verdict:
         return RecognitionResult(False, KIND_POLYTOPE, base.certificate)
     k = a.cols
@@ -294,3 +311,128 @@ def polar_realization_wide_reference(m: Matrix):
     if slack_of_polytope(pv, ph) != scaled.transpose():
         raise AssertionError("polar slack mismatch")
     return v, alpha
+
+
+# The Fraction route of recognition: canonical DD rays matched by their
+# primitive int keys, a Fraction separator, and Fraction basis changes for
+# the certificate and the polar.  Same output contracts as the library.
+
+def _ray_key(v: Vec) -> tuple[int, ...]:
+    return primitive(integer_vec(v)[0])
+
+
+def separator_fraction_reference(m: Matrix, x: Vec) -> Vec:
+    """h = t - eps x with t the zero set of x and eps the least t.c / x.c."""
+    t = tuple(F(xi == 0) for xi in x)
+    ratios = [dot(t, c) / dot(x, c) for c in m.columns() if dot(x, c) > 0]
+    eps = min(ratios, default=F(1))
+    return vsub(t, vscale(eps, x))
+
+
+def ccgc_fraction_reference(m: Matrix, a: Matrix, b: Matrix) -> RecognitionResult:
+    """The CCGC of m = a b by `dd_h_to_v`: the first canonical ray of
+    {y : a y >= 0} that no column of b is a positive multiple of refutes."""
+    k = dd_h_to_v(ConeRep("H", a.cols, a.data))
+    columns = {_ray_key(c) for c in b.columns() if not is_zero_vec(c)}
+    for y in k.vectors:
+        if _ray_key(y) not in columns:
+            x = canonical_ray(a.matvec(y))
+            cert = NoCertificate(UNMATCHED_RAY, "column", x,
+                                 separator_fraction_reference(m, x))
+            return RecognitionResult(False, KIND_CONE, cert)
+    return RecognitionResult(True, KIND_CONE, YesCertificate(a=a, b=b))
+
+
+def reconstruct_fraction_reference(m: Matrix, a: Matrix, b: Matrix, c: Vec):
+    """(V, H, a U, U^-1 b) for U = [c | e_j, j != i0], by Fraction rows."""
+    k = a.cols
+    i0 = next(i for i, x in enumerate(c) if x != 0)
+    a2 = Matrix([(F(1),) + r[:i0] + r[i0 + 1:] for r in a.data], cols=k)
+    b0 = vscale(F(1) / c[i0], b.row(i0))
+    b2 = Matrix([b0] + [vsub(b.row(j), vscale(c[j], b0))
+                        for j in range(k) if j != i0], cols=b.cols)
+    pts = tuple(row[1:] for row in a2.data)
+    hrows = tuple(
+        (b2[0, j],) + tuple(-b2[i, j] for i in range(1, k))
+        for j in range(b2.cols)
+    )
+    v = PolytopeRep("V", k - 1, pts)
+    h = PolytopeRep("H", k - 1, hrows)
+    if slack_of_polytope(v, h) != m:
+        raise AssertionError("reconstruction failed to reproduce the matrix")
+    return v, h, a2, b2
+
+
+def polytope_slack_fraction_reference(m: Matrix) -> RecognitionResult:
+    """`is_polytope_slack` by the Fraction route."""
+    if not m.is_nonnegative():
+        raise ValueError("matrix has a negative entry")
+    a, b = rank_factorization(m)
+    if a.cols < 2:
+        return RecognitionResult(False, KIND_POLYTOPE, NoCertificate(RANK_TOO_SMALL))
+    c = solve_linear(a, ones(m.rows))
+    if c is None:
+        z = next(z for z in left_kernel_basis(a) if dot(z, ones(m.rows)) != 0)
+        cert = NoCertificate(ONES_NOT_IN_SPAN, witness=z)
+        return RecognitionResult(False, KIND_POLYTOPE, cert)
+    base = ccgc_fraction_reference(m, a, b)
+    if not base.verdict:
+        return RecognitionResult(False, KIND_POLYTOPE, base.certificate)
+    mu = [F(0)] * m.cols
+    for ci, row in zip(c, b.data):
+        mu[next(j for j, x in enumerate(row) if x != 0)] = ci
+    v, h, a2, b2 = reconstruct_fraction_reference(m, a, b, c)
+    cert = YesCertificate(a=a2, b=b2, mu=tuple(mu), polytope=(v, h))
+    return RecognitionResult(True, KIND_POLYTOPE, cert)
+
+
+def polar_realization_fraction_reference(m: Matrix):
+    """`polar_realization` from the Fraction certificate: w = (sum mu, 1,
+    .., 1) checked by one product, and B3 = alpha b2 - e0 1^T by Fraction
+    rows.  Same output contract, same error messages."""
+    res = polytope_slack_fraction_reference(m)
+    if not res.verdict:
+        raise ValueError("matrix is not a polytope slack matrix")
+    a2, b2 = res.certificate.a, res.certificate.b
+    q = m.cols
+    w = (sum(res.certificate.mu, F(0)),) + ones(a2.cols - 1)
+    if b2.vecmat(w) != ones(q):
+        raise ValueError("transpose is not a polytope slack matrix")
+    alpha = w[0]
+    b3 = Matrix([tuple(alpha * x - 1 for x in b2.row(0))]
+                + [vscale(alpha, row) for row in b2.data[1:]], cols=q)
+    a3, b = rank_factorization(b3)
+    a = a2 * a3
+    d = a.cols
+    normals = tuple(vscale(F(-1), b.col(j)) for j in range(q))
+    v = PolytopeRep("V", d, tuple(a.data))
+    h = PolytopeRep("H", d, tuple((F(1),) + x for x in normals))
+    scaled = Matrix([vscale(alpha, row) for row in m.data], cols=q)
+    if slack_of_polytope(v, h) != scaled:
+        raise AssertionError("polar realization failed to reproduce the matrix")
+    pv = PolytopeRep("V", d, normals)
+    ph = PolytopeRep("H", d, tuple((F(1),) + row for row in a.data))
+    if slack_of_polytope(pv, ph) != scaled.transpose():
+        raise AssertionError("polar slack mismatch")
+    return v, alpha
+
+
+def verify_equality_fraction_reference(q: PolytopeRep, p: PolytopeRep):
+    """`verify_polytope_equality` with the Fraction route's recognition."""
+    if q.form != "V" or p.form != "H":
+        raise ValueError("need a V-polytope and an H-polyhedron")
+    m = slack_of_polytope(q, p)
+    n = p.ambient_dim
+    if rank(Matrix([a for _, a in p.inequalities()], cols=n)) < n:
+        return VerificationResult(False, NOT_POINTED)
+    dim_q = dimension(q)
+    eqs = _implicit_equalities(_h_polytope_constraints(p), q.points())
+    dim_p = n - rank(Matrix(eqs, cols=n))
+    if dim_q != dim_p:
+        return VerificationResult(False, DIM_MISMATCH, dims=(dim_q, dim_p))
+    if dim_q == 0:
+        return VerificationResult(True, EQUAL)
+    res = polytope_slack_fraction_reference(m)
+    if not res.verdict:
+        return VerificationResult(False, SLACK_REJECT, witness=res.certificate)
+    return VerificationResult(True, EQUAL)

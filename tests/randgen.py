@@ -103,3 +103,63 @@ def random_lattice_polygon(r, min_vertices=3, max_vertices=9, box=6):
         if min_vertices <= len(verts) <= max_vertices:
             v = PolytopeRep("V", 2, tuple(verts))
             return v, facet_inequalities(v)
+
+
+def centred_slack(v, h):
+    """Slack matrix of (v, h) with every facet scaled to slack one at the
+    vertex centroid: its rows average to the all-ones vector, so its
+    transpose is a polytope slack matrix too."""
+    n = v.ambient_dim
+    c = [sum(p[j] for p in v.vectors) / len(v.vectors) for j in range(n)]
+    rows = []
+    for row in h.vectors:
+        s = row[0] - sum(a * x for a, x in zip(row[1:], c))
+        rows.append(tuple(x / s for x in row))
+    return slack_of_polytope(v, PolytopeRep("H", n, tuple(rows)))
+
+
+def projectively_scaled(r, m, bits=12):
+    """D1 m D2 with D1 = diag(m y)^-1 and D2 = diag(m^T z)^-1 for random
+    positive y, z: a polytope slack matrix and its transpose stay polytope
+    slack matrices, with larger numerators.  Needs a positive entry in
+    every row and column."""
+    y = [F(r.randint(1, 2**bits), r.randint(1, 2**bits)) for _ in range(m.cols)]
+    z = [F(r.randint(1, 2**bits), r.randint(1, 2**bits)) for _ in range(m.rows)]
+    d1 = [1 / sum(x * w for x, w in zip(row, y)) for row in m.data]
+    d2 = [1 / sum(x * w for x, w in zip(col, z)) for col in m.columns()]
+    return Matrix([[d1[i] * x * d2[j] for j, x in enumerate(row)]
+                   for i, row in enumerate(m.data)], cols=m.cols)
+
+
+def recognition_inputs(r):
+    """One round of recognition inputs: arbitrary, product and rank-one
+    matrices, and a random polytope's slack matrix plain, centred,
+    projectively scaled, facet-deleted and transposed.  Together they reach
+    every verdict: YES, an unmatched ray, ones not in the span and rank
+    below two."""
+    v, h = random_polytope(r, max_dim=3, max_vertices=7)
+    s = slack_of_polytope(v, h)
+    u = [random_fraction(r, 0, 3) for _ in range(r.randint(1, 4))]
+    w = [random_fraction(r, 0, 3) for _ in range(r.randint(1, 4))]
+    j = r.randrange(s.cols)
+    return [
+        random_nonneg_matrix(r),
+        random_slack_like_matrix(r),
+        Matrix([[a * b for b in w] for a in u], cols=len(w)),
+        s,
+        centred_slack(v, h),
+        projectively_scaled(r, s),
+        s.submatrix(range(s.rows), [k for k in range(s.cols) if k != j]),
+        s.transpose(),
+    ]
+
+
+def verification_inputs(r):
+    """(V-polytope, H-polytope) pairs of one random polytope: equal, with a
+    vertex deleted, and with a facet deleted."""
+    v, h = random_polytope(r, max_dim=3, max_vertices=7)
+    i, j = r.randrange(len(v.vectors)), r.randrange(len(h.vectors))
+    n = v.ambient_dim
+    fewer_v = PolytopeRep("V", n, v.vectors[:i] + v.vectors[i + 1:])
+    fewer_h = PolytopeRep("H", n, h.vectors[:j] + h.vectors[j + 1:])
+    return [(v, h), (fewer_v, h), (v, fewer_h)]

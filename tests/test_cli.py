@@ -1,9 +1,21 @@
+import io
+import itertools
+import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slackmat import ConeRep, Matrix, PolytopeRep
+from slackmat.matrix import rank
+from slackmat.recognition import affine_criterion_check, cone_check_via_polytope
 from slackmat.cli import build_parser, run
 from slackmat.formats import document_for, parse, serialize
 
+from randgen import projectively_scaled
 from golden import (
     COUNTEREXAMPLE,
     PRISM,
@@ -103,6 +115,40 @@ class TestCheckCommands:
 
 
 NEGATIVE_3X3 = Matrix([[0, 1, 1], [1, 0, -1], [1, 1, 0]])
+
+
+class TestWriteErrors:
+    """A document with a number past the interpreter's limit on integer
+    digits is not written: one error line, exit 2, and no file at all."""
+
+    @pytest.fixture(scope="class")
+    def big_file(self, tmp_path_factory):
+        # The 3-cube's slack matrix, centred so that the polar exists, then
+        # projectively scaled with 1500-bit factors: its own entries stay
+        # under 4300 digits, those of B, H and the polar's points do not.
+        cube = Matrix([[2 * x for x in v + tuple(1 - y for y in v)]
+                       for v in itertools.product((0, 1), repeat=3)], cols=6)
+        m = projectively_scaled(random.Random(3), cube, bits=1500)
+        return write_doc(tmp_path_factory.mktemp("big") / "big.matrix", m)
+
+    @pytest.mark.parametrize("args, failing", [
+        (["check-polytope", "--certificate", "c.cert"], "c.cert"),
+        (["reconstruct", "--certificate", "c.cert",
+          "--out-v", "p.v", "--out-h", "p.h"], "c.cert"),
+        (["reconstruct", "--out-v", "p.v", "--out-h", "p.h"], "p.h"),
+        (["polar-realize", "--out-v", "p.v"], "p.v"),
+    ], ids=["check-polytope", "reconstruct-certificate", "reconstruct",
+            "polar-realize"])
+    def test_no_partial_files(self, big_file, tmp_path, capsys, args, failing):
+        argv = [args[0], big_file] + [
+            str(tmp_path / a) if a.startswith(("c.", "p.")) else a
+            for a in args[1:]]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: cannot write %s: a number has more than "
+                       "4300 digits\n" % (tmp_path / failing))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInputErrors:
@@ -277,3 +323,76 @@ class TestOtherCommands:
 
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2
+
+
+@st.composite
+def small_matrices(draw):
+    """Nonnegative matrices up to 4 x 4, empty ones included: arbitrary,
+    all-zero, rank one, or with a column repeated or zeroed."""
+    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = st.sampled_from([F(0), F(0), F(1), F(2), F(1, 2), F(3, 2)])
+    kind = draw(st.sampled_from(["random", "zero", "rank-one", "column"]))
+    if kind == "rank-one":
+        u = draw(st.lists(entry, min_size=p, max_size=p))
+        v = draw(st.lists(entry, min_size=q, max_size=q))
+        rows = [[a * b for b in v] for a in u]
+    else:
+        rows = [draw(st.lists(entry, min_size=q, max_size=q)) for _ in range(p)]
+        if kind == "zero":
+            rows = [[F(0)] * q for _ in range(p)]
+        elif kind == "column" and q >= 2:
+            i, j = draw(st.permutations(range(q)))[:2]
+            zero = draw(st.booleans())
+            for row in rows:
+                row[j] = F(0) if zero else row[i]
+    return Matrix(rows, cols=q)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitContract:
+    """On any small nonnegative matrix every command exits 0, 1 or 2, with
+    exactly one `error:` line on exit 2; the check verdicts agree with the
+    independent routes, and verify-cert accepts every certificate the
+    program writes."""
+
+    @given(small_matrices())
+    @example(Matrix([], cols=3))
+    @example(Matrix([[], []], cols=0))
+    @example(Matrix([[F(2)]], cols=1))
+    @example(Matrix.zero(3, 2))
+    @example(Matrix([[1, 2], [2, 4], [0, 0]], cols=2))
+    @example(Matrix([[1, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]], cols=4))
+    @settings(max_examples=150, deadline=None)
+    def test_exit_codes_and_verdicts(self, m):
+        with tempfile.TemporaryDirectory() as d:
+            path = write_doc(Path(d, "m.matrix"), m)
+            out = {name: str(Path(d, name))
+                   for name in ("cone.cert", "poly.cert", "rec.cert", "v", "h", "pv")}
+            codes = {}
+            for name, argv in (
+                ("check-cone", ["check-cone", path, "--certificate", out["cone.cert"]]),
+                ("check-polytope", ["check-polytope", path,
+                                    "--certificate", out["poly.cert"]]),
+                ("reconstruct", ["reconstruct", path, "--certificate", out["rec.cert"],
+                                 "--out-v", out["v"], "--out-h", out["h"]]),
+                ("polar-realize", ["polar-realize", path, "--out-v", out["pv"]]),
+            ):
+                code, _, err = _run(argv)
+                assert code in (0, 1, 2), name
+                if code == 2:
+                    assert err.startswith("error: ") and err.count("\n") == 1, err
+                codes[name] = code
+            assert codes["check-cone"] == (0 if cone_check_via_polytope(m) else 1)
+            polytope = rank(m) >= 2 and affine_criterion_check(m)
+            assert codes["check-polytope"] == (0 if polytope else 1)
+            assert codes["reconstruct"] == codes["check-polytope"]
+            assert codes["polar-realize"] in ((0, 2) if polytope else (2,))
+            for cert in ("cone.cert", "poly.cert", "rec.cert"):
+                assert _run(["verify-cert", path, out[cert]])[:2] == (0, "CERT valid\n")
+

@@ -22,9 +22,12 @@ from slackmat import (
     slack_of_cone,
     slack_of_polytope,
 )
-from slackmat.matrix import dot, rank, unit
+from slackmat.matrix import dot, integer_vec, primitive, rank, unit
 from slackmat.polyhedra import (
     EmptyPolyhedronError,
+    _dd,
+    _lineality_rref_basis,
+    _project_off,
     _slack_is_scaled,
     contains_origin_interior,
     facet_inequalities,
@@ -400,6 +403,24 @@ class TestDoubleDescriptionProperties:
         assert set(v.vectors) == brute_force_rays(h.vectors, h.ambient_dim)
 
 
+def check_dd_core(h, want):
+    """`_dd` on the primitive int rows of h: every ray is a primitive int
+    vector in the cone with its exact zero set, the lineality vectors span
+    the reference's lineality space, and modulo that space the rays are the
+    reference's extreme rays, each once."""
+    n = h.ambient_dim
+    rows = [primitive(integer_vec(b)[0]) for b in h.vectors]
+    rays, lin = _dd(rows, n)
+    for y, z in rays:
+        assert any(y) and primitive(y) == y
+        slacks = [sum(a * b for a, b in zip(row, y)) for row in rows]
+        assert min(slacks, default=0) >= 0
+        assert z == sum(1 << k for k, x in enumerate(slacks) if x == 0)
+    assert (_lineality_rref_basis(lin, n) if lin else ()) == want.lineality
+    projected = [canonical_ray(_project_off(y, want.lineality)) for y, _ in rays]
+    assert sorted(projected) == list(want.vectors)
+
+
 def degenerate_h_cone(r):
     """Random H-cone in R^2..R^6 with up to 12 small-integer rows, plus
     duplicate, positively scaled and zero rows, so that many rays share
@@ -447,3 +468,4 @@ class TestCombinatorialAdjacency:
                 h = rational_rows(r, h)
             got, want = dd_h_to_v(h), dd_h_to_v_rank_reference(h)
             assert (got.vectors, got.lineality) == (want.vectors, want.lineality), h
+            check_dd_core(h, want)

@@ -22,9 +22,9 @@ from slackmat import (
     slack_of_polytope,
     verify_no_certificate,
 )
-from slackmat import lp, matrix, polyhedra
+from slackmat import lp, matrix, polyhedra, recognition
 from slackmat.formats import document_for, serialize
-from slackmat.matrix import rank
+from slackmat.matrix import rank, rank_factorization
 from slackmat.polyhedra import facet_inequalities, minimal_vrep
 from slackmat.recognition import (
     NoCertificate,
@@ -34,17 +34,24 @@ from slackmat.recognition import (
     YesCertificate,
     polar_realization,
 )
+from slackmat.verification import verify_polytope_equality
 
 from oracles import (
+    ccgc_fraction_reference,
+    polar_realization_fraction_reference,
     polar_realization_wide_reference,
     polar_scale_reference,
+    polytope_slack_fraction_reference,
     polytope_slack_wide_reference,
+    verify_equality_fraction_reference,
 )
 from randgen import (
     random_nonneg_matrix,
     random_polytope,
     random_slack_like_matrix,
+    recognition_inputs,
     rng,
+    verification_inputs,
 )
 from golden import (
     COUNTEREXAMPLE,
@@ -116,13 +123,13 @@ class TestRankCoordinates:
 
     @pytest.fixture
     def dd_dims(self, monkeypatch):
-        dd_h_to_v, dd_v_to_h = polyhedra.dd_h_to_v, polyhedra.dd_v_to_h
+        dd, dd_v_to_h = polyhedra._dd, polyhedra.dd_v_to_h
         lp_solve = lp.lp_solve
         dims = []
 
-        def recording(h):
-            dims.append(h.ambient_dim)
-            return dd_h_to_v(h)
+        def recording(rows, n):
+            dims.append(n)
+            return dd(rows, n)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("recognition called dd_v_to_h or lp_solve")
@@ -131,7 +138,7 @@ class TestRankCoordinates:
                 if n == "slackmat" or n.startswith("slackmat.")]
         for mod in mods:
             for name, value in list(vars(mod).items()):
-                if value is dd_h_to_v:
+                if value is dd:
                     monkeypatch.setattr(mod, name, recording)
                 elif value is dd_v_to_h or value is lp_solve:
                     monkeypatch.setattr(mod, name, forbidden)
@@ -162,14 +169,14 @@ class TestCombinatorialAdjacency:
 
     @pytest.fixture
     def calls_in_dd(self, monkeypatch):
-        dd_h_to_v, counted = polyhedra.dd_h_to_v, (matrix.rank, matrix.rref)
+        dd, counted = polyhedra._dd, (matrix.rank, matrix.rref)
         depth, calls = [0], []
 
-        def inside(h):
-            calls.append("dd_h_to_v")
+        def inside(rows, n):
+            calls.append("_dd")
             depth[0] += 1
             try:
-                return dd_h_to_v(h)
+                return dd(rows, n)
             finally:
                 depth[0] -= 1
 
@@ -184,7 +191,7 @@ class TestCombinatorialAdjacency:
                 if n == "slackmat" or n.startswith("slackmat.")]
         for mod in mods:
             for name, value in list(vars(mod).items()):
-                if value is dd_h_to_v:
+                if value is dd:
                     monkeypatch.setattr(mod, name, inside)
                 elif any(value is fn for fn in counted):
                     monkeypatch.setattr(mod, name, counting(value))
@@ -193,7 +200,7 @@ class TestCombinatorialAdjacency:
     @pytest.mark.parametrize("m", [CUBE5, C85], ids=["cube5", "cyclic8-5"])
     def test_no_rank_or_rref_inside_dd(self, calls_in_dd, m):
         assert ccgc_check(m).verdict
-        assert calls_in_dd == ["dd_h_to_v"]
+        assert calls_in_dd == ["_dd"]
 
 
 class TestIsConeSlack:
@@ -401,10 +408,11 @@ class TestPolarRealization:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Count is_polytope_slack, dd_h_to_v and lp_solve calls at every
-        slackmat module binding."""
+        """Count the polytope verdict core, the DD core and lp_solve calls
+        at every slackmat module binding."""
         counts = {}
-        for target in (is_polytope_slack, polyhedra.dd_h_to_v, lp.lp_solve):
+        for target in (recognition._polytope_verdict, polyhedra._dd,
+                       lp.lp_solve):
             name = target.__name__
             counts[name] = 0
 
@@ -425,14 +433,12 @@ class TestPolarRealization:
     def test_one_recognition_one_dd_no_lp(self, calls, m):
         _, scale = polar_realization(m)
         assert scale > 0
-        assert calls == {"is_polytope_slack": 1, "dd_h_to_v": 1,
-                         "lp_solve": 0}
+        assert calls == {"_polytope_verdict": 1, "_dd": 1, "lp_solve": 0}
 
     def test_unscaled_prism_transpose_rejected(self, calls):
         with pytest.raises(ValueError, match="transpose"):
             polar_realization(PRISM)
-        assert calls == {"is_polytope_slack": 1, "dd_h_to_v": 1,
-                         "lp_solve": 0}
+        assert calls == {"_polytope_verdict": 1, "_dd": 1, "lp_solve": 0}
 
     def test_matches_two_recognition_route(self):
         r = rng(4)
@@ -580,6 +586,55 @@ class TestClosedFormSolves:
         with pytest.raises(ValueError, match="transpose"):
             polar_realization(PRISM)
         assert solves == [PRISM.rows]
+
+
+def _cert_text(res):
+    return res.verdict, serialize(document_for(res.certificate))
+
+
+class TestIntegerCore:
+    """Int-ray matching, integer separators and integer basis changes give
+    byte for byte what the Fraction route gives: canonical DD rays matched
+    by key, Fraction separators, and Fraction rows for the certificate's
+    B2 and the polar's B3."""
+
+    def test_identical_to_fraction_route(self):
+        r = rng(11)
+        inputs = []
+        while len(inputs) < 1000:
+            inputs += recognition_inputs(r)
+        outcomes = set()
+        for m in inputs:
+            res = is_polytope_slack(m)
+            assert _cert_text(res) == _cert_text(polytope_slack_fraction_reference(m))
+            cone = ccgc_check(m)
+            ref = ccgc_fraction_reference(m, *rank_factorization(m))
+            assert _cert_text(cone) == _cert_text(ref)
+            polar = _polar_outcome(polar_realization, m)
+            assert polar == _polar_outcome(polar_realization_fraction_reference, m)
+            outcomes.add(res.certificate.reason if not res.verdict else "yes")
+            outcomes.add(polar if isinstance(polar, str) else "polar")
+        assert outcomes == {
+            "yes", "polar", ONES_NOT_IN_SPAN, UNMATCHED_RAY, RANK_TOO_SMALL,
+            "matrix is not a polytope slack matrix",
+            "transpose is not a polytope slack matrix",
+        }
+
+    def test_verification_identical_to_fraction_route(self):
+        r = rng(12)
+        reasons = set()
+        for _ in range(120):
+            for q, p in verification_inputs(r):
+                got = verify_polytope_equality(q, p)
+                want = verify_equality_fraction_reference(q, p)
+                assert (got.equal, got.reason, got.dims) == (want.equal, want.reason, want.dims)
+                if want.witness is None:
+                    assert got.witness is None
+                else:
+                    assert (serialize(document_for(got.witness))
+                            == serialize(document_for(want.witness)))
+                reasons.add(got.reason)
+        assert reasons == {"equal", "slack_reject", "dim_mismatch"}
 
 
 class TestProperties:

@@ -39,3 +39,13 @@ def test_benchmark_selftest(workload):
                      "--seconds", "1", folder="perfbench")
     assert out.returncode == 0, out.stdout + out.stderr
     assert "selftest %s: ok" % workload in out.stdout
+
+
+def test_output_digest():
+    # The digest of the outputs of the Fraction route, before recognition
+    # moved to integer rays and integer basis changes.  Every output is
+    # meant to stay byte-identical, so a new digest is a changed output.
+    out = run_script("output_digest.py", "--seed", "0", "--count", "100")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == (
+        "465f200ef648be368e823d04514a87fad798ab7557ee2e87a814fbcd544f6874")
