@@ -4,9 +4,11 @@ The API is `fractions.Fraction`-exact, so equality tests are literal.  The
 loops run in Python ints, and Fractions are formed only where the API
 returns them.  Products clear the denominators of each left row and each
 right column once and sum integer products, one Fraction per entry.
-Elimination is fraction-free on rows cleared the same way and kept
-primitive by their gcd; `rank`, `solve_linear` and the kernels read the
-integer echelon form directly, and only `rref` builds the Fraction RREF.
+Elimination is fraction-free on primitive int rows, so a caller that holds
+ints (recognition eliminates [M | 1] once and reads its integer factors off
+the result) clears nothing twice; `rank`, `solve_linear` and the kernels
+read the integer echelon form directly, and only `rref` builds the Fraction
+RREF.
 """
 
 from __future__ import annotations
@@ -189,16 +191,19 @@ class Matrix:
             len(col_idx))
 
 
-def _echelon(rows: Iterable[Sequence[Fraction]], ncols: int):
-    """Fraction-free Gauss-Jordan elimination of rational rows, each
-    cleared of its denominators once.
+def _cleared(rows: Iterable[Sequence[Fraction]]) -> list[tuple[int, ...]]:
+    """Rational rows as primitive int rows: positive multiples of them."""
+    return [primitive(integer_vec(r)[0]) for r in rows]
+
+
+def _echelon(a: list[tuple[int, ...]], ncols: int):
+    """Fraction-free Gauss-Jordan elimination of primitive int rows, in place.
 
     Returns (a, pivots): row i < len(pivots) of the RREF is a[i] divided by
     a[i][pivots[i]], and the remaining rows of a are zero.
     """
     # A positive scaling of a row leaves the RREF as it is, and so does any
     # nonzero scaling of a row that is eliminated against a pivot row.
-    a = [primitive(integer_vec(r)[0]) for r in rows]
     nrows = len(a)
     pivots: list[int] = []
     pr = 0
@@ -230,7 +235,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     Returns (reduced, pivot_columns, rank).  The RREF is unique, which makes
     every construction built on it deterministic.
     """
-    a, pivots = _echelon(m.data, m.cols)
+    a, pivots = _echelon(_cleared(m.data), m.cols)
     rk = len(pivots)
     out = tuple(tuple(Fraction(x, a[i][pc]) for x in a[i])
                 for i, pc in enumerate(pivots))
@@ -239,17 +244,20 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m.data, m.cols)[1])
+    return len(_echelon(_cleared(m.data), m.cols)[1])
 
 
 def right_kernel_basis(m: Matrix) -> list[Vec]:
     """Basis of { x : m x = 0 }, one vector per free column of the RREF."""
-    a, pivots = _echelon(m.data, m.cols)
+    return _kernel_basis(*_echelon(_cleared(m.data), m.cols), m.cols)
+
+
+def _kernel_basis(a, pivots, ncols: int) -> list[Vec]:
+    """The right kernel basis read off an `_echelon` result."""
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
-    for f in free:
-        x = [Fraction(0)] * m.cols
+    for f in (j for j in range(ncols) if j not in pivot_set):
+        x = [Fraction(0)] * ncols
         x[f] = Fraction(1)
         for i, pc in enumerate(pivots):
             x[pc] = Fraction(-a[i][f], a[i][pc])
@@ -271,7 +279,7 @@ def solve_linear(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
     if len(b) != a.rows:
         raise ValueError("solve_linear: rhs length %d, expected %d" % (len(b), a.rows))
     n = a.cols
-    aug, pivots = _echelon([r + (x,) for r, x in zip(a.data, vec(b))], n + 1)
+    aug, pivots = _echelon(_cleared(r + (x,) for r, x in zip(a.data, vec(b))), n + 1)
     if n in pivots:
         return None
     x = [Fraction(0)] * n

@@ -87,6 +87,14 @@ class PolytopeRep:
             if len(v) != want:
                 raise ValueError("vector length != expected %d" % want)
 
+    @classmethod
+    def _of(cls, form: str, ambient_dim: int, vectors: tuple[Vec, ...]):
+        """A polytope of trusted vectors: a tuple of Fraction tuples of the
+        length the form asks for, taken as they are."""
+        p = object.__new__(cls)
+        p.__dict__.update(form=form, ambient_dim=ambient_dim, vectors=vectors)
+        return p
+
     def points(self) -> tuple[Vec, ...]:
         if self.form != "V":
             raise ValueError("not a V-form polytope")
@@ -269,16 +277,17 @@ def slack_of_polytope(v: PolytopeRep, h: PolytopeRep) -> Matrix:
 
 
 def _slack_is_scaled(v: PolytopeRep, h: PolytopeRep,
-                     rows: Sequence[Vec], scale: Fraction) -> bool:
-    """Whether slack_of_polytope(v, h) equals scale times the matrix with the
-    given rows, decided by cross-multiplying ints; raises as that does."""
+                     rows: Sequence[tuple[Sequence[int], int]],
+                     scale: Fraction) -> bool:
+    """Whether slack_of_polytope(v, h) equals scale times the matrix whose
+    rows are given cleared, as (ints, d) pairs like `integer_vec`'s, decided
+    by cross-multiplying ints; raises as that does."""
     s, t = scale.numerator, scale.denominator
     slack = list(_slack_numerators(v, h))
     return len(slack) == len(rows) and all(
         len(nums) == len(row) and all(
-            x * t * y.denominator == s * y.numerator * d
-            for (x, d), y in zip(nums, row))
-        for nums, row in zip(slack, rows))
+            x * t * e == s * y * d for (x, d), y in zip(nums, row))
+        for nums, (row, e) in zip(slack, rows))
 
 
 def _h_polytope_constraints(h: PolytopeRep) -> list[Constraint]:

@@ -9,8 +9,10 @@ two and the all-ones vector lies in its column span.
 The test runs in the coordinates of one rank factorization M = A B: the CCGC
 holds iff every extreme ray of the pointed cone {y : A y >= 0} is a positive
 multiple of a column of B.  An unmatched ray is refuted by a separator
-written down in closed form, without a second cone conversion.  M itself is
-eliminated only once: every later solve works on A (injective) or B (RREF).
+written down in closed form, without a second cone conversion.  One
+fraction-free elimination of [M | 1], on M cleared to ints once, gives the
+rank, A, B and the c with A c = 1 (or shows 1 is not in the column span),
+and every later step works on those ints.
 
 Every verdict ships a certificate: an exact rank factorization on yes, a
 point-and-separator witness (or a span/rank witness for the polytope-only
@@ -22,12 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .matrix import (
     Matrix,
     Vec,
+    _echelon,
+    _kernel_basis,
     dot,
     integer_vec,
     is_zero_vec,
@@ -35,9 +40,7 @@ from .matrix import (
     ones,
     primitive,
     rank,
-    rank_factorization,
     right_kernel_basis,
-    solve_linear,
     unit,
     vec,
     vscale,
@@ -103,7 +106,37 @@ def _require_nonnegative(m: Matrix) -> None:
         raise ValueError("matrix has a negative entry")
 
 
-def _separator(m: Matrix, x: Vec) -> Vec:
+class _Echelon(NamedTuple):
+    """One fraction-free elimination of [M | 1]."""
+
+    rows: list  # M's rows cleared once: (ints, d), row i of M is ints / d
+    pivots: tuple  # M's pivot columns; A is M on them, and M = A B
+    b: list  # B, the RREF of M less its zero rows, is b / den in ints
+    c: Optional[list]  # A c = 1 for c / den; None if 1 is not in the span
+    den: int
+
+
+def _eliminate(m: Matrix) -> _Echelon:
+    _require_nonnegative(m)
+    q = m.cols
+    rows = [integer_vec(r) for r in m.data]
+    ech, pivots = _echelon([primitive(r + (d,)) for r, d in rows], q + 1)
+    spans = q not in pivots
+    pivots = pivots if spans else pivots[:-1]
+    # Row i of the RREF is ech[i] / ech[i][pivots[i]]: ints over the lcm.
+    den = lcm(*(r[pc] for r, pc in zip(ech, pivots)))
+    bc = [[x * (den // r[pc]) for x in r] for r, pc in zip(ech, pivots)]
+    return _Echelon(rows, pivots, [r[:q] for r in bc],
+                    [r[q] for r in bc] if spans else None, den)
+
+
+def _columns(rows) -> tuple[list[tuple[int, ...]], int]:
+    """(columns, d): M's columns as ints over one d, from its cleared rows."""
+    d = lcm(*(e for _, e in rows))
+    return list(zip(*([x * (d // e) for x in r] for r, e in rows))), d
+
+
+def _separator(columns, x: Vec) -> Vec:
     """h = t - eps x, nonnegative on the columns and negative on x.
 
     t indicates the zero set of the unmatched extreme ray x; a nonzero column
@@ -113,8 +146,7 @@ def _separator(m: Matrix, x: Vec) -> Vec:
     # d (t.C) / (p.C); eps = d en / ed is the least of these, or 1.
     p, d = integer_vec(x)
     least = None
-    for col in zip(*m.data):
-        c = integer_vec(col)[0]
+    for c in columns:
         s = sum(map(mul, p, c))
         if s > 0:
             t = sum(y for y, pi in zip(c, p) if pi == 0)
@@ -124,18 +156,22 @@ def _separator(m: Matrix, x: Vec) -> Vec:
     return tuple(Fraction(ed * (pi == 0) - en * pi, ed) for pi in p)
 
 
-def _ccgc_with_factors(m: Matrix, a: Matrix, b: Matrix) -> RecognitionResult:
-    # a is injective, so the cone is pointed and its extreme rays are _dd's
+def _unmatched(e: _Echelon) -> Optional[NoCertificate]:
+    """The CCGC of M = A B: None, or the certificate refuting it."""
+    # A is injective, so the cone is pointed and its extreme rays are _dd's
     # primitive int rays, each equal to a primitive column iff a positive
     # multiple of it.  The first unmatched ray in canonical order is refuted.
-    rays, _ = _dd([primitive(integer_vec(r)[0]) for r in a.data], a.cols)
-    columns = {primitive(integer_vec(c)[0]) for c in zip(*b.data) if any(c)}
+    a = [[r[j] for j in e.pivots] for r, _ in e.rows]
+    rays, _ = _dd([primitive(r) for r in a], len(e.pivots))
+    columns = {primitive(c) for c in zip(*e.b) if any(c)}
     unmatched = [y for y, _ in rays if y not in columns]
-    if unmatched:
-        x = canonical_ray(a.matvec(min(unmatched, key=canonical_ray)))
-        cert = NoCertificate(UNMATCHED_RAY, "column", x, _separator(m, x))
-        return RecognitionResult(False, KIND_CONE, cert)
-    return RecognitionResult(True, KIND_CONE, YesCertificate(a=a, b=b))
+    if not unmatched:
+        return None
+    y = min(unmatched, key=canonical_ray)
+    x = canonical_ray([Fraction(sum(map(mul, r, y)), d)
+                       for r, (_, d) in zip(a, e.rows)])
+    return NoCertificate(UNMATCHED_RAY, "column", x,
+                         _separator(_columns(e.rows)[0], x))
 
 
 def ccgc_check(m: Matrix) -> RecognitionResult:
@@ -146,8 +182,13 @@ def ccgc_check(m: Matrix) -> RecognitionResult:
     ray to be a positive multiple of a column of b; a is injective, so this
     is the CCGC in R^p.  An unmatched ray y gives the witness x = a y.
     """
-    _require_nonnegative(m)
-    return _ccgc_with_factors(m, *rank_factorization(m))
+    e = _eliminate(m)
+    no = _unmatched(e)
+    if no:
+        return RecognitionResult(False, KIND_CONE, no)
+    b = Matrix._of(tuple(tuple(Fraction(x, e.den) for x in r) for r in e.b), m.cols)
+    cert = YesCertificate(a=m.submatrix(range(m.rows), e.pivots), b=b)
+    return RecognitionResult(True, KIND_CONE, cert)
 
 
 def _transpose_certificate(cert: YesCertificate | NoCertificate):
@@ -170,25 +211,25 @@ def is_cone_slack(m: Matrix) -> RecognitionResult:
     return ccgc_check(m)
 
 
-def _polytope_verdict(m: Matrix) -> RecognitionResult | tuple[Matrix, Matrix, Vec]:
-    """The polytope verdict alone: the NO result, or the factors (a, b, c)
-    of m = a b, b in RREF, with a c = 1."""
-    _require_nonnegative(m)
-    a, b = rank_factorization(m)
-    if a.cols < 2:
+def _polytope_verdict(m: Matrix) -> RecognitionResult | _Echelon:
+    """The polytope verdict alone: the NO result, or the elimination of
+    [M | 1] that passed."""
+    e = _eliminate(m)
+    if len(e.pivots) < 2:
         cert = NoCertificate(RANK_TOO_SMALL)
         return RecognitionResult(False, KIND_POLYTOPE, cert)
-    # b is onto: a c = 1 is solvable iff m mu = 1 is, and z m = 0 iff z a = 0.
-    c = solve_linear(a, ones(m.rows))
-    if c is None:
-        z = next(z for z in left_kernel_basis(a)
-                 if dot(z, ones(m.rows)) != 0)
+    if e.c is None:
+        # z m = 0 iff z a = 0; the rows of a^T are m's pivot columns.
+        cols, _ = _columns(e.rows)
+        at = [primitive(cols[j]) for j in e.pivots]
+        z = next(z for z in _kernel_basis(*_echelon(at, m.rows), m.rows)
+                 if sum(z) != 0)
         cert = NoCertificate(ONES_NOT_IN_SPAN, witness=z)
         return RecognitionResult(False, KIND_POLYTOPE, cert)
-    base = _ccgc_with_factors(m, a, b)
-    if not base.verdict:
-        return RecognitionResult(False, KIND_POLYTOPE, base.certificate)
-    return a, b, c
+    no = _unmatched(e)
+    if no:
+        return RecognitionResult(False, KIND_POLYTOPE, no)
+    return e
 
 
 def is_polytope_slack(m: Matrix) -> RecognitionResult:
@@ -197,18 +238,10 @@ def is_polytope_slack(m: Matrix) -> RecognitionResult:
     Requires rank at least two, the all-ones vector in the column span, and
     the CCGC; the yes-certificate carries a realized polytope.
     """
-    verdict = _polytope_verdict(m)
-    if isinstance(verdict, RecognitionResult):
-        return verdict
-    a, b, c = verdict
-    # b is the RREF of m, so mu is c placed on its pivot columns.
-    mu = [Fraction(0)] * m.cols
-    for ci, row in zip(c, b.data):
-        mu[next(j for j, x in enumerate(row) if x != 0)] = ci
-    mu = tuple(mu)
-    v, h, a2, b2 = _reconstruct_with_factors(m, a, b, c)
-    cert = YesCertificate(a=a2, b=b2, mu=mu, polytope=(v, h))
-    return RecognitionResult(True, KIND_POLYTOPE, cert)
+    e = _polytope_verdict(m)
+    if isinstance(e, RecognitionResult):
+        return e
+    return RecognitionResult(True, KIND_POLYTOPE, _certificate(m, e))
 
 
 def verify_no_certificate(m: Matrix, cert: NoCertificate) -> bool:
@@ -258,35 +291,43 @@ def reconstruct_cone(m: Matrix) -> tuple[ConeRep, ConeRep]:
     return v, h
 
 
-def _basis_change(a: Matrix, b: Matrix, c: Vec):
-    """(a U, rows, d) for U = [c | e_j, j != i0], a c = 1: a U is [1 | a
-    less column i0], and U^-1 b, with rows b_i0 / c_i0 and b_j - c_j b_i0 /
-    c_i0, is rows / d in ints (f B_i0 and C_i0 B_j - C_j B_i0 over e C_i0,
-    for b = B / e and c = C / f)."""
-    q = b.cols
-    cs, f = integer_vec(c)
+def _basis_change(bs, e: int, cs, f: int):
+    """(i0, rows, d) for U = [c | e_j, j != i0], i0 the first nonzero entry
+    of c: with b = bs / e and c = cs / f in ints, U^-1 b, with rows b_i0 /
+    c_i0 and b_j - c_j b_i0 / c_i0, is rows / d (f B_i0 and C_i0 B_j - C_j
+    B_i0 over e C_i0)."""
     i0 = next(i for i, x in enumerate(cs) if x != 0)
-    flat, e = integer_vec([x for row in b.data for x in row])
-    top, ci = flat[i0 * q:(i0 + 1) * q], cs[i0]
+    top, ci = bs[i0], cs[i0]
     rows = [[f * x for x in top]] + [
-        [ci * x - cj * y for x, y in zip(flat[j * q:(j + 1) * q], top)]
-        for j, cj in enumerate(cs) if j != i0]
-    one = Fraction(1)
-    a2 = Matrix._of(tuple((one,) + r[:i0] + r[i0 + 1:] for r in a.data), a.cols)
-    return a2, rows, e * ci
+        [ci * x - cj * y for x, y in zip(row, top)]
+        for j, (row, cj) in enumerate(zip(bs, cs)) if j != i0]
+    return i0, rows, e * ci
 
 
-def _reconstruct_with_factors(m, a, b, c):
-    a2, rows, d = _basis_change(a, b, c)
-    k = a.cols
-    b2 = Matrix._of(tuple(tuple(Fraction(x, d) for x in r) for r in rows), b.cols)
-    pts = tuple(row[1:] for row in a2.data)
-    hrows = tuple((col[0],) + tuple(-x for x in col[1:]) for col in zip(*b2.data))
-    v = PolytopeRep("V", k - 1, pts)
-    h = PolytopeRep("H", k - 1, hrows)
-    if not _slack_is_scaled(v, h, m.data, Fraction(1)):
+def _certificate(m: Matrix, e: _Echelon, factors=None) -> YesCertificate:
+    """mu, and the factors a U, U^-1 b with the polytope they realize, for
+    the elimination's m = a b or for supplied factors."""
+    # b is the RREF of m, so mu is c placed on its pivot columns.
+    c = dict(zip(e.pivots, e.c))
+    mu = tuple(Fraction(c.get(j, 0), e.den) for j in range(m.cols))
+    if factors is None:
+        a = tuple(tuple(row[j] for j in e.pivots) for row in m.data)
+        bs, be, cs, ce = e.b, e.den, e.c, e.den
+    else:
+        a, b = factors[0].data, factors[1]
+        flat, be = integer_vec([x for row in b.data for x in row])
+        bs = [flat[i * m.cols:(i + 1) * m.cols] for i in range(b.rows)]
+        cs, ce = integer_vec(b.matvec(mu))
+    i0, rows, d = _basis_change(bs, be, cs, ce)
+    k, one = len(bs), Fraction(1)
+    a2 = Matrix._of(tuple((one,) + r[:i0] + r[i0 + 1:] for r in a), k)
+    b2 = Matrix._of(tuple(tuple(Fraction(x, d) for x in r) for r in rows), m.cols)
+    v = PolytopeRep._of("V", k - 1, tuple(row[1:] for row in a2.data))
+    h = PolytopeRep._of("H", k - 1, tuple(
+        (col[0],) + tuple(-x for x in col[1:]) for col in zip(*b2.data)))
+    if not _slack_is_scaled(v, h, e.rows, one):
         raise AssertionError("reconstruction failed to reproduce the matrix")
-    return v, h, a2, b2
+    return YesCertificate(a=a2, b=b2, mu=mu, polytope=(v, h))
 
 
 def reconstruct_polytope(
@@ -301,17 +342,14 @@ def reconstruct_polytope(
     the first nonzero coordinate of c, and is applied in closed form.  An
     explicit factorization may be supplied; the default is the certificate's.
     """
-    res = is_polytope_slack(m)
-    if not res.verdict:
+    e = _polytope_verdict(m)
+    if isinstance(e, RecognitionResult):
         raise ValueError("not a slack matrix of a polytope")
-    if factors is None:
-        return res.certificate.polytope
-    a, b = factors
-    if a * b != m or a.cols != res.certificate.a.cols:
-        raise ValueError("supplied factors are not a rank factorization")
-    c = b.matvec(res.certificate.mu)
-    v, h, _, _ = _reconstruct_with_factors(m, a, b, c)
-    return v, h
+    if factors is not None:
+        a, b = factors
+        if a * b != m or a.cols != len(e.pivots):
+            raise ValueError("supplied factors are not a rank factorization")
+    return _certificate(m, e, factors).polytope
 
 
 def cone_check_via_polytope(m: Matrix) -> bool:
@@ -377,36 +415,41 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
     1 a convex combination of the rows of alpha m (y m = 1 gives sum(y) =
     1 . mu).  alpha m - J = a2 (alpha b2 - e0 1^T) is factorized on the right.
     """
-    verdict = _polytope_verdict(m)
-    if isinstance(verdict, RecognitionResult):
+    e = _polytope_verdict(m)
+    if isinstance(e, RecognitionResult):
         raise ValueError("matrix is not a polytope slack matrix")
-    a, b, c = verdict
-    a2, rows, den = _basis_change(a, b, c)
-    q = m.cols
+    i0, rows, den = _basis_change(e.b, e.den, e.c, e.den)
     # b2 = U^-1 b with b in RREF, whose pivot columns are the identity; so
     # w b2 = 1 forces w U^-1 = 1 there, that is w = 1^T U = (sum mu, 1, ..).
     # With b2 = rows / den and alpha = s / t, w b2 = 1 is checked in ints.
-    alpha = sum(c, Fraction(0))
+    alpha = Fraction(sum(e.c), e.den)
     s, t = alpha.numerator, alpha.denominator
     td = t * den
     if any(s * x + t * sum(col) != td for x, *col in zip(*rows)):
         raise ValueError("transpose is not a polytope slack matrix")
-    b3 = Matrix._of(  # alpha b2 - e0 1^T
-        (tuple(Fraction(s * x - td, td) for x in rows[0]),)
-        + tuple(tuple(Fraction(s * x, td) for x in row) for row in rows[1:]),
-        q)
-    a3, b = rank_factorization(b3)
-    a = a2 * a3
-    d = a.cols
-    normals = tuple(tuple(-x for x in col) for col in zip(*b.data))
-    v = PolytopeRep("V", d, tuple(a.data))
-    h = PolytopeRep("H", d, tuple((Fraction(1),) + x for x in normals))
-    if not _slack_is_scaled(v, h, m.data, alpha):
+    # alpha b2 - e0 1^T = b3 / td = a3 b, a3 its pivot columns and b its
+    # RREF; a = a2 a3, and row i of a2 = [1 | a less column i0] is
+    # (d, ints less column i0) / d for M's cleared row (ints, d).
+    b3 = ([[s * x - td for x in rows[0]]]
+          + [[s * x for x in row] for row in rows[1:]])
+    ech, piv = _echelon([primitive(r) for r in b3], m.cols)
+    a3 = [[r[pc] for r in b3] for pc in piv]
+    drop = e.pivots[i0]
+    a2 = [(d,) + tuple(r[j] for j in e.pivots if j != drop) for r, d in e.rows]
+    a = tuple(tuple(Fraction(sum(map(mul, r, col)), r[0] * td) for col in a3)
+              for r in a2)
+    normals = tuple(zip(*([Fraction(-x, r[pc]) for x in r]
+                          for r, pc in zip(ech, piv))))
+    d, one = len(piv), Fraction(1)
+    v = PolytopeRep._of("V", d, a)
+    h = PolytopeRep._of("H", d, tuple((one,) + x for x in normals))
+    if not _slack_is_scaled(v, h, e.rows, alpha):
         raise AssertionError("polar realization failed to reproduce the matrix")
     # The polar pair: vertices are the facet normals of P, facets come from
     # the vertices of P; its slack matrix is the transpose of the scaled one.
-    pv = PolytopeRep("V", d, normals)
-    ph = PolytopeRep("H", d, tuple((Fraction(1),) + row for row in a.data))
-    if not _slack_is_scaled(pv, ph, m.columns(), alpha):
+    cols, dc = _columns(e.rows)
+    pv = PolytopeRep._of("V", d, normals)
+    ph = PolytopeRep._of("H", d, tuple((one,) + row for row in a))
+    if not _slack_is_scaled(pv, ph, [(c, dc) for c in cols], alpha):
         raise AssertionError("polar slack mismatch")
     return v, alpha

@@ -93,6 +93,14 @@ class TestCheckCommands:
         err = capsys.readouterr().err
         assert "bad rational" in err and len(err) < 80 + len(str(path))
 
+    def test_numeral_past_int_digit_limit_is_one_error_line(self, tmp_path):
+        path = tmp_path / "long.matrix"
+        path.write_text("MATRIX 1 2\n1 %s\n" % ("3" * 4301))
+        code, out, err = _run(["check-polytope", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count("error:") == 1
+
     def test_check_cone_transpose_of_prism(self, tmp_path):
         f = write_doc(tmp_path / "mt.matrix", PRISM.transpose())
         assert run(["check-cone", f, "--quiet"]) == 0
@@ -296,6 +304,21 @@ class TestOtherCommands:
         text = cert.read_text()
         assert text.startswith("CERT NO unmatched_ray column\n")
         cert.write_text(text.replace(" column\n", " diagonal\n", 1))
+        assert run(["verify-cert", f, str(cert)]) == 1
+        assert capsys.readouterr().out.strip() == "CERT invalid"
+
+    @pytest.mark.parametrize("row", ["WITNESS", "SEPARATOR"])
+    @pytest.mark.parametrize("change", ["short", "long"])
+    def test_verify_cert_no_with_wrong_length_row(self, tmp_path, capsys,
+                                                  row, change):
+        f = write_doc(tmp_path / "c.matrix", COUNTEREXAMPLE)
+        cert = tmp_path / "c.cert"
+        assert run(["check-cone", f, "--quiet", "--certificate", str(cert)]) == 1
+        lines = cert.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(row + " "))
+        tokens = lines[i].split()
+        lines[i] = " ".join(tokens[:-1] if change == "short" else tokens + ["0"])
+        cert.write_text("\n".join(lines) + "\n")
         assert run(["verify-cert", f, str(cert)]) == 1
         assert capsys.readouterr().out.strip() == "CERT invalid"
 

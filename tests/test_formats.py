@@ -207,3 +207,32 @@ class TestRoundTripProperties:
         assert back.kind == doc.kind
         assert back.payload == doc.payload
         assert serialize(back) == text
+
+
+_TOKENS = ["MATRIX", "CONE_V", "CONE_H", "POLY_V", "POLY_H", "CERT", "YES",
+           "NO", "A", "B", "MU", "V", "H", "LINEALITY", "WITNESS", "SEPARATOR",
+           UNMATCHED_RAY, ONES_NOT_IN_SPAN, RANK_TOO_SMALL, "row", "column",
+           "0", "1", "2", "3", "-1", "+2", "1/2", "-3/4", "1/0", "01", "1_0",
+           "٣", "x", ""]
+
+
+@st.composite
+def near_documents(draw):
+    """Text close to the grammar: lines of its own words and numerals."""
+    lines = draw(st.lists(
+        st.lists(st.sampled_from(_TOKENS), max_size=5).map(" ".join),
+        max_size=8))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestParseFuzz:
+    """Whatever the text, parse returns a Document or raises FormatError."""
+
+    @given(st.one_of(st.text(), near_documents()))
+    @settings(max_examples=400, deadline=None)
+    def test_document_or_format_error(self, text):
+        try:
+            doc = parse(text)
+        except FormatError:
+            return
+        assert isinstance(doc, Document)

@@ -243,8 +243,9 @@ def _times(scale, m):
 
 
 class TestIntegerReproductionCheck:
-    """`_slack_is_scaled(v, h, m.data, scale)` decides
-    slack_of_polytope(v, h) == scale * m without forming that matrix."""
+    """`_slack_is_scaled(v, h, rows, scale)`, with rows m's rows cleared to
+    (ints, d) pairs, decides slack_of_polytope(v, h) == scale * m without
+    forming that matrix."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_fraction_comparison(self, seed):
@@ -264,12 +265,34 @@ class TestIntegerReproductionCheck:
                      (Matrix(m.data[1:], cols=m.cols), scale, False)]
             for mm, sc, want in cases:
                 assert (slack_of_polytope(v, h) == _times(sc, mm)) == want
-                assert _slack_is_scaled(v, h, mm.data, sc) == want
+                rows = [integer_vec(r) for r in mm.data]
+                assert _slack_is_scaled(v, h, rows, sc) == want
 
     def test_outside_point_raises_like_slack_of_polytope(self):
         v = PolytopeRep("V", 2, ((2, 0),))
         with pytest.raises(ValueError, match="not contained"):
-            _slack_is_scaled(v, SQUARE_FACETS, ((F(0),) * 4,), F(1))
+            _slack_is_scaled(v, SQUARE_FACETS, [((0,) * 4, 1)], F(1))
+
+
+class TestTrustedPolytopeRep:
+    """`PolytopeRep._of` takes trusted Fraction rows as they are; the public
+    constructor still converts and checks what it is given."""
+
+    def test_same_value_as_public_construction(self):
+        for form, rows in (("V", ((F(1), F(-2)), (F(1, 3), F(0)))),
+                           ("H", ((F(1), F(2), F(-1, 2)),))):
+            trusted = PolytopeRep._of(form, 2, rows)
+            assert trusted == PolytopeRep(form, 2, rows)
+            assert trusted.vectors is rows
+
+    def test_public_construction_validates(self):
+        assert PolytopeRep("V", 1, ((1,), (2,))).vectors == ((F(1),), (F(2),))
+        with pytest.raises(ValueError, match="expected 2"):
+            PolytopeRep("V", 2, ((1,),))
+        with pytest.raises(ValueError, match="expected 3"):
+            PolytopeRep("H", 2, ((1, 2),))
+        with pytest.raises(ValueError, match="form"):
+            PolytopeRep("Q", 2, ())
 
 
 class TestDimension:

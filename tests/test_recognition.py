@@ -24,7 +24,7 @@ from slackmat import (
 )
 from slackmat import lp, matrix, polyhedra, recognition
 from slackmat.formats import document_for, serialize
-from slackmat.matrix import rank, rank_factorization
+from slackmat.matrix import integer_vec, primitive, rank, rank_factorization
 from slackmat.polyhedra import facet_inequalities, minimal_vrep
 from slackmat.recognition import (
     NoCertificate,
@@ -354,6 +354,31 @@ class TestReconstructPolytope:
         with pytest.raises(ValueError):
             reconstruct_polytope(PRISM, factors=(Matrix.identity(6), PRISM))
 
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The number of reproduction checks, at every slackmat binding."""
+        check, count = polyhedra._slack_is_scaled, [0]
+
+        def counting(*args):
+            count[0] += 1
+            return check(*args)
+
+        for n, mod in list(sys.modules.items()):
+            if n == "slackmat" or n.startswith("slackmat."):
+                for attr, value in list(vars(mod).items()):
+                    if value is check:
+                        monkeypatch.setattr(mod, attr, counting)
+        return count
+
+    def test_one_realization_per_call(self, checks):
+        a, b = rank_factorization(PRISM)
+        t = Matrix([[1, 0, 0, 2], [0, 1, 0, 0], [3, 0, 1, 0], [0, 0, 0, 1]])
+        for factors in (None, (a * t, matrix.inverse(t) * b)):
+            checks[0] = 0
+            v, h = reconstruct_polytope(PRISM, factors)
+            assert slack_of_polytope(v, h) == PRISM
+            assert checks[0] == 1
+
 
 class TestConeCheckViaPolytope:
     def test_prism(self):
@@ -480,9 +505,10 @@ def _polar_outcome(route, m):
 
 
 class TestRankCoordinateSolves:
-    """After the one rank factorization M = A B, the polytope test and the
-    polar realization solve on A or B only, and give exactly what the wide
-    route (solves on M and its transpose, an explicit inverse) gives."""
+    """After the one elimination of [M | 1], the polytope test and the polar
+    realization solve no system and eliminate M no more, and give exactly
+    what the wide route (solves on M and its transpose, an explicit
+    inverse) gives."""
 
     def test_identical_to_wide_route(self):
         r = rng(6)
@@ -510,82 +536,111 @@ class TestRankCoordinateSolves:
             "transpose is not a polytope slack matrix",
         }
 
-    @pytest.fixture
-    def eliminations(self, monkeypatch):
-        """Every rref input, in call order; inverse is forbidden."""
-        rref, inverse = matrix.rref, matrix.inverse
-        seen = []
-
-        def recording(m):
-            seen.append(m)
-            return rref(m)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("inverse called")
-
-        for n, mod in list(sys.modules.items()):
-            if n == "slackmat" or n.startswith("slackmat."):
-                for attr, value in list(vars(mod).items()):
-                    if value is rref:
-                        monkeypatch.setattr(mod, attr, recording)
-                    elif value is inverse:
-                        monkeypatch.setattr(mod, attr, forbidden)
-        return seen
-
     @pytest.mark.parametrize("m", [PRISM, PRISM_SCALED, CUBE4, CUBE4_CENTRED],
                              ids=["prism", "prism-scaled", "cube4",
                                   "cube4-centred"])
     def test_one_wide_elimination(self, eliminations, m):
         r = rank(m)
         for route in (is_polytope_slack, polar_realization):
-            eliminations.clear()
+            _clear(eliminations)
             try:
                 route(m)
             except ValueError:
                 assert route is polar_realization and m in (PRISM, CUBE4)
-            wide = [x for x in eliminations
-                    if x.rows > r + 1 and x.cols > r + 1]
-            # Only rank_factorization(m) eliminates m itself.
-            assert wide == ([m] if m.rows > r + 1 and m.cols > r + 1 else [])
+            wide = [x for x in eliminations["rows"]
+                    if len(x[0]) > r + 1 and x[1] > r + 1]
+            # Only [m | 1] is eliminated wide, and no system is solved.
+            assert wide == [(_with_ones(m), m.cols + 1)]
+            assert eliminations["solve_linear"] == []
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Every integer elimination's input, as (rows, width), and the row
+    count of every solve_linear system, in call order; inverse is
+    forbidden."""
+    echelon, solve_linear = matrix._echelon, matrix.solve_linear
+    seen = {"rows": [], "solve_linear": []}
+
+    def eliminating(a, ncols):
+        seen["rows"].append((list(a), ncols))  # _echelon works in place
+        return echelon(a, ncols)
+
+    def solving(a, b):
+        seen["solve_linear"].append(a.rows)
+        return solve_linear(a, b)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inverse called")
+
+    swap = {id(echelon): eliminating, id(solve_linear): solving,
+            id(matrix.inverse): forbidden}
+    for n, mod in list(sys.modules.items()):
+        if n == "slackmat" or n.startswith("slackmat."):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in swap:
+                    monkeypatch.setattr(mod, attr, swap[id(value)])
+    return seen
+
+
+def _clear(seen):
+    for calls in seen.values():
+        calls.clear()
+
+
+def _with_ones(m):
+    """The rows of [m | 1] as the elimination takes them: primitive ints."""
+    return [primitive(integer_vec(row + (F(1),))[0]) for row in m.data]
 
 
 class TestClosedFormSolves:
-    """mu and the polar scale are read off the certificate in closed form:
-    after the rank factorization, recognition solves one system (a c = 1,
-    with p rows) and the polar realization adds none."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        """The row count of every solve_linear system, in call order."""
-        solve_linear = matrix.solve_linear
-        rows = []
-
-        def recording(a, b):
-            rows.append(a.rows)
-            return solve_linear(a, b)
-
-        for n, mod in list(sys.modules.items()):
-            if n == "slackmat" or n.startswith("slackmat."):
-                for attr, value in list(vars(mod).items()):
-                    if value is solve_linear:
-                        monkeypatch.setattr(mod, attr, recording)
-        return rows
+    """c with a c = 1, mu and the polar scale are read off in closed form:
+    recognition eliminates [M | 1] once (p rows, q + 1 columns) and solves
+    no system, and the polar realization adds one elimination of rank(M)
+    rows for its second factor and no system either."""
 
     @pytest.mark.parametrize("m", [PRISM_SCALED, CUBE3_CENTRED, CUBE4_CENTRED],
                              ids=["prism-scaled", "cube3-centred",
                                   "cube4-centred"])
-    def test_one_solve(self, solves, m):
+    def test_one_solve(self, eliminations, m):
         assert m.rows != m.cols
+        r = rank(m)
+        _clear(eliminations)
         assert is_polytope_slack(m).verdict
-        assert solves == [m.rows]
-        solves.clear()
+        assert eliminations["rows"] == [(_with_ones(m), m.cols + 1)]
+        assert eliminations["solve_linear"] == []
+        _clear(eliminations)
         polar_realization(m)
-        assert solves == [m.rows]
+        shapes = [(len(rows), n) for rows, n in eliminations["rows"]]
+        assert shapes == [(m.rows, m.cols + 1), (r, m.cols)]
+        assert eliminations["rows"][0][0] == _with_ones(m)
+        assert eliminations["solve_linear"] == []
 
-    def test_transpose_rejected_without_a_solve(self, solves):
+    def test_transpose_rejected_without_a_solve(self, eliminations):
         with pytest.raises(ValueError, match="transpose"):
             polar_realization(PRISM)
-        assert solves == [PRISM.rows]
+        assert eliminations["rows"] == [(_with_ones(PRISM), PRISM.cols + 1)]
+        assert eliminations["solve_linear"] == []
+
+    def test_no_fraction_elimination(self, monkeypatch):
+        """Every elimination, on yes and on each no reason, runs on int rows
+        recognition has formed itself: none clears Fraction rows."""
+        def forbidden(rows):
+            raise AssertionError("a Fraction matrix was eliminated")
+
+        monkeypatch.setattr(matrix, "_cleared", forbidden)
+        reasons = set()
+        cube3 = cube_slack(3)
+        for m in (PRISM, PRISM_SCALED, CUBE4_CENTRED, PRISM.transpose(),
+                  cube3.submatrix(range(8), range(1, 6)),
+                  Matrix([[1, 2], [2, 4]])):
+            res = is_polytope_slack(m)
+            reasons.add(res.verdict or res.certificate.reason)
+            try:
+                polar_realization(m)
+            except ValueError:
+                pass
+        assert reasons == {True, UNMATCHED_RAY, ONES_NOT_IN_SPAN, RANK_TOO_SMALL}
 
 
 def _cert_text(res):
