@@ -280,10 +280,17 @@ def _slack_is_scaled(v: PolytopeRep, h: PolytopeRep,
                      rows: Sequence[tuple[Sequence[int], int]],
                      scale: Fraction) -> bool:
     """Whether slack_of_polytope(v, h) equals scale times the matrix whose
-    rows are given cleared, as (ints, d) pairs like `integer_vec`'s, decided
-    by cross-multiplying ints; raises as that does."""
+    rows are given cleared; raises as that does."""
+    return _table_is_scaled(list(_slack_numerators(v, h)), rows, scale)
+
+
+def _table_is_scaled(slack, rows: Sequence[tuple[Sequence[int], int]],
+                     scale: Fraction) -> bool:
+    """Whether a slack table, rows of (numerator, denominator) int pairs as
+    `_slack_numerators` yields them, is scale times the matrix whose rows
+    are given cleared, as (ints, d) pairs like `integer_vec`'s, decided by
+    cross-multiplying ints."""
     s, t = scale.numerator, scale.denominator
-    slack = list(_slack_numerators(v, h))
     return len(slack) == len(rows) and all(
         len(nums) == len(row) and all(
             x * t * e == s * y * d for (x, d), y in zip(nums, row))

@@ -51,6 +51,8 @@ from .polyhedra import (
     PolytopeRep,
     _dd,
     _slack_is_scaled,
+    _slack_numerators,
+    _table_is_scaled,
     canonical_ray,
     dd_h_to_v,
 )
@@ -291,17 +293,15 @@ def reconstruct_cone(m: Matrix) -> tuple[ConeRep, ConeRep]:
     return v, h
 
 
-def _basis_change(bs, e: int, cs, f: int):
-    """(i0, rows, d) for U = [c | e_j, j != i0], i0 the first nonzero entry
-    of c: with b = bs / e and c = cs / f in ints, U^-1 b, with rows b_i0 /
-    c_i0 and b_j - c_j b_i0 / c_i0, is rows / d (f B_i0 and C_i0 B_j - C_j
-    B_i0 over e C_i0)."""
-    i0 = next(i for i, x in enumerate(cs) if x != 0)
+def _basis_change(bs, e: int, cs, f: int, i0: int):
+    """(rows, d) for U = [c | e_j, j != i0], c_i0 != 0: with b = bs / e and
+    c = cs / f in ints, U^-1 b, with rows b_i0 / c_i0 and b_j - c_j b_i0 /
+    c_i0, is rows / d (f B_i0 and C_i0 B_j - C_j B_i0 over e C_i0)."""
     top, ci = bs[i0], cs[i0]
     rows = [[f * x for x in top]] + [
         [ci * x - cj * y for x, y in zip(row, top)]
         for j, (row, cj) in enumerate(zip(bs, cs)) if j != i0]
-    return i0, rows, e * ci
+    return rows, e * ci
 
 
 def _certificate(m: Matrix, e: _Echelon, factors=None) -> YesCertificate:
@@ -318,7 +318,8 @@ def _certificate(m: Matrix, e: _Echelon, factors=None) -> YesCertificate:
         flat, be = integer_vec([x for row in b.data for x in row])
         bs = [flat[i * m.cols:(i + 1) * m.cols] for i in range(b.rows)]
         cs, ce = integer_vec(b.matvec(mu))
-    i0, rows, d = _basis_change(bs, be, cs, ce)
+    i0 = next(i for i, x in enumerate(cs) if x != 0)
+    rows, d = _basis_change(bs, be, cs, ce, i0)
     k, one = len(bs), Fraction(1)
     a2 = Matrix._of(tuple((one,) + r[:i0] + r[i0 + 1:] for r in a), k)
     b2 = Matrix._of(tuple(tuple(Fraction(x, d) for x in r) for r in rows), m.cols)
@@ -408,48 +409,40 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
     Requires both m and its transpose to be polytope slack matrices, decided
     by one recognition of m: the CCGC of m^T follows from that of m (the cone
     slack matrices of K and K* are transposes) and rank(m^T) = rank(m), so
-    only the all-ones vector in the row span is left.  In the certificate's
-    factors m = a2 b2, with a2 injective and its first column all ones,
-    nu m = 1 iff w = nu a2 solves w b2 = 1.  The only candidate w is written
-    in closed form and checked by one product, and alpha = sum(nu) = w[0] makes
-    1 a convex combination of the rows of alpha m (y m = 1 gives sum(y) =
-    1 . mu).  alpha m - J = a2 (alpha b2 - e0 1^T) is factorized on the right.
+    only the all-ones vector in the row span is left.  Everything after that
+    is read off the elimination's m = a b, with b in RREF and a c = 1:
+    nu m = 1 iff (nu a) b = 1, and alpha = sum(nu) = 1 . mu = sum(c) makes 1
+    a convex combination of the rows of alpha m.  alpha m - J = a (alpha b -
+    c 1^T) with a injective, so the RREF of its row space is written down
+    without an elimination, and P is alpha m - J on that RREF's pivots.
     """
     e = _polytope_verdict(m)
     if isinstance(e, RecognitionResult):
         raise ValueError("matrix is not a polytope slack matrix")
-    i0, rows, den = _basis_change(e.b, e.den, e.c, e.den)
-    # b2 = U^-1 b with b in RREF, whose pivot columns are the identity; so
-    # w b2 = 1 forces w U^-1 = 1 there, that is w = 1^T U = (sum mu, 1, ..).
-    # With b2 = rows / den and alpha = s / t, w b2 = 1 is checked in ints.
+    # b's pivot columns are the identity, so (nu a) b = 1 forces nu a = 1:
+    # it holds iff every column of b sums to 1.
+    if any(sum(col) != e.den for col in zip(*e.b)):
+        raise ValueError("transpose is not a polytope slack matrix")
+    # The rows of alpha b - c 1^T sum to 0, so its row space is spanned by
+    # c_k b_j - c_j b_k (j != k) for any c_k != 0.  Over c_k these rows have
+    # pivots the pivots of b less p_k, and with k the last index of a nonzero
+    # c they are reduced as they stand (c_j = 0 for j > k): the RREF.
+    k = max(i for i, x in enumerate(e.c) if x != 0)
+    rows, den = _basis_change(e.b, e.den, e.c, e.den, k)
+    piv = e.pivots[:k] + e.pivots[k + 1:]
     alpha = Fraction(sum(e.c), e.den)
     s, t = alpha.numerator, alpha.denominator
-    td = t * den
-    if any(s * x + t * sum(col) != td for x, *col in zip(*rows)):
-        raise ValueError("transpose is not a polytope slack matrix")
-    # alpha b2 - e0 1^T = b3 / td = a3 b, a3 its pivot columns and b its
-    # RREF; a = a2 a3, and row i of a2 = [1 | a less column i0] is
-    # (d, ints less column i0) / d for M's cleared row (ints, d).
-    b3 = ([[s * x - td for x in rows[0]]]
-          + [[s * x for x in row] for row in rows[1:]])
-    ech, piv = _echelon([primitive(r) for r in b3], m.cols)
-    a3 = [[r[pc] for r in b3] for pc in piv]
-    drop = e.pivots[i0]
-    a2 = [(d,) + tuple(r[j] for j in e.pivots if j != drop) for r, d in e.rows]
-    a = tuple(tuple(Fraction(sum(map(mul, r, col)), r[0] * td) for col in a3)
-              for r in a2)
-    normals = tuple(zip(*([Fraction(-x, r[pc]) for x in r]
-                          for r, pc in zip(ech, piv))))
-    d, one = len(piv), Fraction(1)
-    v = PolytopeRep._of("V", d, a)
-    h = PolytopeRep._of("H", d, tuple((one,) + x for x in normals))
-    if not _slack_is_scaled(v, h, e.rows, alpha):
+    one = Fraction(1)
+    v = PolytopeRep._of("V", len(piv), tuple(
+        tuple(Fraction(s * x[j] - t * d, t * d) for j in piv) for x, d in e.rows))
+    h = PolytopeRep._of("H", len(piv), tuple(
+        (one,) + tuple(Fraction(-x, den) for x in col) for col in zip(*rows[1:])))
+    slack = list(_slack_numerators(v, h))
+    if not _table_is_scaled(slack, e.rows, alpha):
         raise AssertionError("polar realization failed to reproduce the matrix")
-    # The polar pair: vertices are the facet normals of P, facets come from
-    # the vertices of P; its slack matrix is the transpose of the scaled one.
+    # The polar has the facet normals as vertices and its facets from the
+    # points of P, so its slack matrix is the transpose of the same table.
     cols, dc = _columns(e.rows)
-    pv = PolytopeRep._of("V", d, normals)
-    ph = PolytopeRep._of("H", d, tuple((one,) + row for row in a))
-    if not _slack_is_scaled(pv, ph, [(c, dc) for c in cols], alpha):
+    if not _table_is_scaled(list(zip(*slack)), [(c, dc) for c in cols], alpha):
         raise AssertionError("polar slack mismatch")
     return v, alpha

@@ -594,17 +594,16 @@ def _with_ones(m):
 
 
 class TestClosedFormSolves:
-    """c with a c = 1, mu and the polar scale are read off in closed form:
-    recognition eliminates [M | 1] once (p rows, q + 1 columns) and solves
-    no system, and the polar realization adds one elimination of rank(M)
-    rows for its second factor and no system either."""
+    """c with a c = 1, mu, the polar scale and the polar's points and facet
+    normals are read off in closed form: recognition eliminates [M | 1]
+    once (p rows, q + 1 columns) and solves no system, and the polar
+    realization adds no elimination and no system."""
 
     @pytest.mark.parametrize("m", [PRISM_SCALED, CUBE3_CENTRED, CUBE4_CENTRED],
                              ids=["prism-scaled", "cube3-centred",
                                   "cube4-centred"])
     def test_one_solve(self, eliminations, m):
         assert m.rows != m.cols
-        r = rank(m)
         _clear(eliminations)
         assert is_polytope_slack(m).verdict
         assert eliminations["rows"] == [(_with_ones(m), m.cols + 1)]
@@ -612,7 +611,7 @@ class TestClosedFormSolves:
         _clear(eliminations)
         polar_realization(m)
         shapes = [(len(rows), n) for rows, n in eliminations["rows"]]
-        assert shapes == [(m.rows, m.cols + 1), (r, m.cols)]
+        assert shapes == [(m.rows, m.cols + 1)]
         assert eliminations["rows"][0][0] == _with_ones(m)
         assert eliminations["solve_linear"] == []
 
@@ -641,6 +640,55 @@ class TestClosedFormSolves:
             except ValueError:
                 pass
         assert reasons == {True, UNMATCHED_RAY, ONES_NOT_IN_SPAN, RANK_TOO_SMALL}
+
+
+def _round_60():
+    """The 4x4 YES matrix of round 60 of recognition_inputs(rng(0)): of the
+    306 polar inputs in its first 100 rounds, the only one whose c ends in
+    zeros."""
+    r = rng(0)
+    for _ in range(60):
+        recognition_inputs(r)
+    return recognition_inputs(r)[4]
+
+
+ROUND_60 = _round_60()
+
+
+class TestClosedFormPolar:
+    """The polar realization's points and facet normals, written down from
+    the elimination of [M | 1], are alpha M - J on the pivots of its RREF
+    and minus that RREF's columns, as an elimination of alpha M - J gives;
+    the last nonzero entry of c need not be c's last entry."""
+
+    @pytest.mark.parametrize("m", [PRISM_SCALED, CUBE4_CENTRED, ROUND_60],
+                             ids=["prism-scaled", "cube4-centred", "round-60"])
+    def test_rref_of_scaled_minus_ones(self, monkeypatch, m):
+        seen = []
+
+        def recording(v, h):
+            seen.append(h)
+            return slack_numerators(v, h)
+
+        slack_numerators = recognition._slack_numerators
+        monkeypatch.setattr(recognition, "_slack_numerators", recording)
+        p, alpha = polar_realization(m)
+        diff = Matrix([[alpha * x - 1 for x in row] for row in m.data],
+                      cols=m.cols)
+        b, piv, rk = matrix.rref(diff)
+        assert rk == rank(m) - 1
+        assert p.vectors == tuple(tuple(row[j] for j in piv)
+                                  for row in diff.data)
+        assert [h.vectors for h in seen] == [tuple(
+            (F(1),) + tuple(-b[i, j] for i in range(rk))
+            for j in range(m.cols))]
+        outcome = _polar_outcome(polar_realization, m)
+        assert outcome == _polar_outcome(polar_realization_wide_reference, m)
+        assert outcome == _polar_outcome(polar_realization_fraction_reference, m)
+
+    def test_round_60_c_ends_in_zero(self):
+        e = recognition._polytope_verdict(ROUND_60)
+        assert (len(e.pivots), e.c[-1]) == (3, 0)
 
 
 def _cert_text(res):

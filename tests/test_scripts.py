@@ -49,3 +49,12 @@ def test_output_digest():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == (
         "465f200ef648be368e823d04514a87fad798ab7557ee2e87a814fbcd544f6874")
+
+
+def test_output_digest_seed_5():
+    # A second seed, with 465 more realized polars, pinned when the polar
+    # realization was still formed by a second elimination.
+    out = run_script("output_digest.py", "--seed", "5", "--count", "150")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == (
+        "450aabeafc932bef970f17998d0c7b87ccc908f322760ba321f0331421b4ae52")
