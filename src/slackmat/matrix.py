@@ -75,7 +75,7 @@ class Matrix:
     rows the column count must be given explicitly.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "__weakref__")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
         rows = tuple(vec(r) for r in data)

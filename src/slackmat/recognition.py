@@ -22,6 +22,7 @@ independent of the decision path.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -111,25 +112,25 @@ def _require_nonnegative(m: Matrix) -> None:
 class _Echelon(NamedTuple):
     """One fraction-free elimination of [M | 1]."""
 
-    rows: list  # M's rows cleared once: (ints, d), row i of M is ints / d
+    rows: tuple  # M's rows cleared once: (ints, d), row i of M is ints / d
     pivots: tuple  # M's pivot columns; A is M on them, and M = A B
-    b: list  # B, the RREF of M less its zero rows, is b / den in ints
-    c: Optional[list]  # A c = 1 for c / den; None if 1 is not in the span
+    b: tuple  # B, the RREF of M less its zero rows, is b / den in ints
+    c: Optional[tuple]  # A c = 1 for c / den; None if 1 is not in the span
     den: int
 
 
 def _eliminate(m: Matrix) -> _Echelon:
     _require_nonnegative(m)
     q = m.cols
-    rows = [integer_vec(r) for r in m.data]
+    rows = tuple(integer_vec(r) for r in m.data)
     ech, pivots = _echelon([primitive(r + (d,)) for r, d in rows], q + 1)
     spans = q not in pivots
     pivots = pivots if spans else pivots[:-1]
     # Row i of the RREF is ech[i] / ech[i][pivots[i]]: ints over the lcm.
     den = lcm(*(r[pc] for r, pc in zip(ech, pivots)))
     bc = [[x * (den // r[pc]) for x in r] for r, pc in zip(ech, pivots)]
-    return _Echelon(rows, pivots, [r[:q] for r in bc],
-                    [r[q] for r in bc] if spans else None, den)
+    return _Echelon(rows, pivots, tuple(tuple(r[:q]) for r in bc),
+                    tuple(r[q] for r in bc) if spans else None, den)
 
 
 def _columns(rows) -> tuple[list[tuple[int, ...]], int]:
@@ -176,6 +177,29 @@ def _unmatched(e: _Echelon) -> Optional[NoCertificate]:
                          _separator(_columns(e.rows)[0], x))
 
 
+_UNKNOWN = object()
+_last: Optional[tuple] = None
+
+
+def _forget(ref) -> None:
+    global _last
+    if _last is not None and _last[0] is ref:
+        _last = None
+
+
+def _recognized(m: Matrix, ccgc: bool = True):
+    """(e, no): m's elimination and, if ccgc, its CCGC outcome (_unmatched),
+    kept in one entry for the last Matrix recognized: (weakref, e, no or
+    _UNKNOWN), keyed by identity, replaced whole, dropped when m dies."""
+    global _last
+    entry = _last
+    ref, e, no = entry if entry and entry[0]() is m else (
+        weakref.ref(m, _forget), _eliminate(m), _UNKNOWN)
+    no = _unmatched(e) if ccgc and no is _UNKNOWN else no
+    _last = (ref, e, no)
+    return e, no
+
+
 def ccgc_check(m: Matrix) -> RecognitionResult:
     """Decide the column cone generating condition with a certificate.
 
@@ -183,9 +207,9 @@ def ccgc_check(m: Matrix) -> RecognitionResult:
     pointed cone {y : a y >= 0} in dimension rank(m) and require each extreme
     ray to be a positive multiple of a column of b; a is injective, so this
     is the CCGC in R^p.  An unmatched ray y gives the witness x = a y.
+    A second question about the same Matrix object reuses both (_recognized).
     """
-    e = _eliminate(m)
-    no = _unmatched(e)
+    e, no = _recognized(m)
     if no:
         return RecognitionResult(False, KIND_CONE, no)
     b = Matrix._of(tuple(tuple(Fraction(x, e.den) for x in r) for r in e.b), m.cols)
@@ -215,8 +239,8 @@ def is_cone_slack(m: Matrix) -> RecognitionResult:
 
 def _polytope_verdict(m: Matrix) -> RecognitionResult | _Echelon:
     """The polytope verdict alone: the NO result, or the elimination of
-    [M | 1] that passed."""
-    e = _eliminate(m)
+    [M | 1] that passed.  The DD runs only past the rank and span tests."""
+    e, _ = _recognized(m, ccgc=False)
     if len(e.pivots) < 2:
         cert = NoCertificate(RANK_TOO_SMALL)
         return RecognitionResult(False, KIND_POLYTOPE, cert)
@@ -228,7 +252,7 @@ def _polytope_verdict(m: Matrix) -> RecognitionResult | _Echelon:
                  if sum(z) != 0)
         cert = NoCertificate(ONES_NOT_IN_SPAN, witness=z)
         return RecognitionResult(False, KIND_POLYTOPE, cert)
-    no = _unmatched(e)
+    _, no = _recognized(m)
     if no:
         return RecognitionResult(False, KIND_POLYTOPE, no)
     return e
@@ -415,6 +439,8 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
     a convex combination of the rows of alpha m.  alpha m - J = a (alpha b -
     c 1^T) with a injective, so the RREF of its row space is written down
     without an elimination, and P is alpha m - J on that RREF's pivots.
+    Its slack table, transposed the polar's, is checked against alpha m.
+    Right after is_polytope_slack(m), m is neither eliminated nor DD'd again.
     """
     e = _polytope_verdict(m)
     if isinstance(e, RecognitionResult):
@@ -437,12 +463,6 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
         tuple(Fraction(s * x[j] - t * d, t * d) for j in piv) for x, d in e.rows))
     h = PolytopeRep._of("H", len(piv), tuple(
         (one,) + tuple(Fraction(-x, den) for x in col) for col in zip(*rows[1:])))
-    slack = list(_slack_numerators(v, h))
-    if not _table_is_scaled(slack, e.rows, alpha):
+    if not _table_is_scaled(list(_slack_numerators(v, h)), e.rows, alpha):
         raise AssertionError("polar realization failed to reproduce the matrix")
-    # The polar has the facet normals as vertices and its facets from the
-    # points of P, so its slack matrix is the transpose of the same table.
-    cols, dc = _columns(e.rows)
-    if not _table_is_scaled(list(zip(*slack)), [(c, dc) for c in cols], alpha):
-        raise AssertionError("polar slack mismatch")
     return v, alpha

@@ -10,8 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slackmat import ConeRep, Matrix, PolytopeRep
-from slackmat.matrix import rank
-from slackmat.recognition import affine_criterion_check, cone_check_via_polytope
+from slackmat.matrix import rank, rank_factorization
+from slackmat.recognition import (
+    YesCertificate,
+    affine_criterion_check,
+    cone_check_via_polytope,
+)
 from slackmat.cli import build_parser, run
 from slackmat.formats import document_for, parse, serialize
 
@@ -343,6 +347,16 @@ class TestOtherCommands:
             cert.write_text("\n".join(changed) + "\n")
             assert run(["verify-cert", prism_file, str(cert)]) == 1
             assert capsys.readouterr().out.strip() == "CERT invalid"
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: verify-cert accepts any A B = M as a YES certificate"))
+    def test_verify_cert_rejects_forged_yes(self, tmp_path, capsys):
+        f = write_doc(tmp_path / "c.matrix", COUNTEREXAMPLE)
+        a, b = rank_factorization(COUNTEREXAMPLE)
+        cert = write_doc(tmp_path / "forged.cert", YesCertificate(a=a, b=b))
+        assert Path(cert).read_text().startswith("CERT YES\n")
+        assert run(["verify-cert", f, cert]) == 1
+        assert capsys.readouterr().out.strip() == "CERT invalid"
 
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import sys
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -117,12 +119,24 @@ CUBE5_MINUS_FACET = CUBE5.submatrix(range(CUBE5.rows), range(1, CUBE5.cols))
 C85 = cyclic_slack(8, 5)
 
 
+def _cold():
+    """Empty the recognition cache, so the next recognition of any Matrix
+    eliminates it and runs its DD."""
+    recognition._last = None
+
+
+def _copy(m):
+    """An equal Matrix that is a distinct object, so the cache misses."""
+    return Matrix(m.data, cols=m.cols)
+
+
 class TestRankCoordinates:
     """The CCGC is one DD in dimension rank(M), with no V-to-H conversion
     and no LP, on yes and no inputs alike."""
 
     @pytest.fixture
     def dd_dims(self, monkeypatch):
+        _cold()
         dd, dd_v_to_h = polyhedra._dd, polyhedra.dd_v_to_h
         lp_solve = lp.lp_solve
         dims = []
@@ -154,7 +168,7 @@ class TestRankCoordinates:
         r = rank(m)
         for check in (ccgc_check, is_polytope_slack):
             dd_dims.clear()
-            res = check(m)
+            res = check(_copy(m))
             assert res.verdict == verdict
             # is_polytope_slack may reject on rank or span before the CCGC.
             reaches_ccgc = (check is ccgc_check or res.verdict
@@ -169,6 +183,7 @@ class TestCombinatorialAdjacency:
 
     @pytest.fixture
     def calls_in_dd(self, monkeypatch):
+        _cold()
         dd, counted = polyhedra._dd, (matrix.rank, matrix.rref)
         depth, calls = [0], []
 
@@ -435,6 +450,7 @@ class TestPolarRealization:
     def calls(self, monkeypatch):
         """Count the polytope verdict core, the DD core and lp_solve calls
         at every slackmat module binding."""
+        _cold()
         counts = {}
         for target in (recognition._polytope_verdict, polyhedra._dd,
                        lp.lp_solve):
@@ -544,7 +560,7 @@ class TestRankCoordinateSolves:
         for route in (is_polytope_slack, polar_realization):
             _clear(eliminations)
             try:
-                route(m)
+                route(_copy(m))
             except ValueError:
                 assert route is polar_realization and m in (PRISM, CUBE4)
             wide = [x for x in eliminations["rows"]
@@ -559,6 +575,7 @@ def eliminations(monkeypatch):
     """Every integer elimination's input, as (rows, width), and the row
     count of every solve_linear system, in call order; inverse is
     forbidden."""
+    _cold()
     echelon, solve_linear = matrix._echelon, matrix.solve_linear
     seen = {"rows": [], "solve_linear": []}
 
@@ -605,11 +622,11 @@ class TestClosedFormSolves:
     def test_one_solve(self, eliminations, m):
         assert m.rows != m.cols
         _clear(eliminations)
-        assert is_polytope_slack(m).verdict
+        assert is_polytope_slack(_copy(m)).verdict
         assert eliminations["rows"] == [(_with_ones(m), m.cols + 1)]
         assert eliminations["solve_linear"] == []
         _clear(eliminations)
-        polar_realization(m)
+        polar_realization(_copy(m))
         shapes = [(len(rows), n) for rows, n in eliminations["rows"]]
         assert shapes == [(m.rows, m.cols + 1)]
         assert eliminations["rows"][0][0] == _with_ones(m)
@@ -738,6 +755,127 @@ class TestIntegerCore:
                             == serialize(document_for(want.witness)))
                 reasons.add(got.reason)
         assert reasons == {"equal", "slack_reject", "dim_mismatch"}
+
+
+def _answers(m, questions):
+    """Each question's outcome on m, as text or comparable tuples."""
+    out = []
+    for q in questions:
+        try:
+            res = q(m)
+        except ValueError as e:
+            out.append(str(e))
+            continue
+        out.append(_cert_text(res) if isinstance(res, recognition.RecognitionResult)
+                   else res)
+    return out
+
+
+class TestRecognitionCache:
+    """Several questions about one Matrix object eliminate it once and run
+    its DD at most once; the cache holds one entry, keyed by identity, and
+    keeps nothing alive."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Calls of the integer elimination and of the DD core, at every
+        slackmat binding, from an empty cache."""
+        _cold()
+        counts = {"_echelon": 0, "_dd": 0}
+        for target in (matrix._echelon, polyhedra._dd):
+            def counting(*args, _f=target, _n=target.__name__):
+                counts[_n] += 1
+                return _f(*args)
+
+            for n, mod in list(sys.modules.items()):
+                if n == "slackmat" or n.startswith("slackmat."):
+                    for attr, value in list(vars(mod).items()):
+                        if value is target:
+                            monkeypatch.setattr(mod, attr, counting)
+        return counts
+
+    def test_warm_calls_run_no_elimination_and_no_dd(self, work):
+        m = _copy(PRISM_SCALED)
+        assert is_polytope_slack(m).verdict
+        assert work == {"_echelon": 1, "_dd": 1}
+        polar_realization(m)
+        reconstruct_polytope(m)
+        assert work == {"_echelon": 1, "_dd": 1}
+        m = _copy(CUBE4_CENTRED)
+        assert ccgc_check(m).verdict
+        assert work == {"_echelon": 2, "_dd": 2}
+        assert is_polytope_slack(m).verdict
+        assert work == {"_echelon": 2, "_dd": 2}
+
+    def test_shared_elimination_is_immutable(self):
+        m = _copy(PRISM_SCALED)
+        e = recognition._polytope_verdict(m)
+        for field in (e.rows, e.b, e.c):
+            assert isinstance(field, tuple)
+        for row in e.rows + e.b:
+            assert isinstance(row, tuple)
+
+    def test_equal_but_distinct_matrix_recomputes(self, work):
+        m = _copy(PRISM)
+        assert is_polytope_slack(m).verdict
+        assert is_polytope_slack(_copy(m)).verdict
+        assert work == {"_echelon": 2, "_dd": 2}
+
+    def test_one_entry(self, work):
+        m1, m2 = _copy(PRISM), _copy(CUBE4)
+        for m in (m1, m2, m1):
+            assert is_polytope_slack(m).verdict
+        assert work == {"_echelon": 3, "_dd": 3}
+
+    def test_no_lifetime_extension(self):
+        m = _copy(PRISM)
+        res = is_polytope_slack(m)
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None
+        assert recognition._last is None
+        assert res.verdict
+
+    @pytest.mark.parametrize("m, reason", [
+        (Matrix([[1, 2], [2, 4]]), RANK_TOO_SMALL),
+        (Matrix([[1, 0], [0, 1], [1, 1]]), ONES_NOT_IN_SPAN),
+    ], ids=["rank", "ones-span"])
+    def test_early_rejections_run_no_dd(self, work, m, reason):
+        m = _copy(m)
+        res = is_polytope_slack(m)
+        assert res.certificate.reason == reason
+        assert work["_dd"] == 0
+        # The ones-span witness eliminates the narrow a^T; [m | 1] is kept.
+        eliminations = work["_echelon"]
+        assert ccgc_check(m).verdict
+        assert work == {"_echelon": eliminations, "_dd": 1}
+
+    def test_warm_answers_equal_cold_answers(self):
+        questions = [ccgc_check, is_polytope_slack,
+                     lambda m: _polar_outcome(polar_realization, m),
+                     reconstruct_polytope]
+        r = rng(13)
+        for _ in range(12):
+            for m in recognition_inputs(r):
+                cold = [_answers(_copy(m), [q])[0] for q in questions]
+                for order in (questions, questions[::-1]):
+                    warm = _answers(_copy(m), order)
+                    assert warm == [cold[questions.index(q)] for q in order]
+
+    def test_polar_check_catches_wrong_normals(self, monkeypatch):
+        basis_change = recognition._basis_change
+
+        def corrupted(*args):
+            # Halved normals keep every slack positive, so only the
+            # reproduction check can tell.
+            rows, d = basis_change(*args)
+            return rows, 2 * d
+
+        monkeypatch.setattr(recognition, "_basis_change", corrupted)
+        with pytest.raises(AssertionError, match=(
+                "polar realization failed to reproduce the matrix")):
+            polar_realization(_copy(PRISM_SCALED))
 
 
 class TestProperties:
