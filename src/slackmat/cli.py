@@ -188,7 +188,7 @@ def _cmd_polar_realize(args) -> int:
 def _yes_certificate_holds(m: Matrix, cert: YesCertificate) -> bool:
     # Necessary checks only, not yet sound: every nonnegative m = a b for some a, b.
     try:
-        return (cert.a * cert.b == m
+        return (m.is_nonnegative() and cert.a * cert.b == m
                 and (cert.mu is None or m.matvec(cert.mu) == ones(m.rows))
                 and (cert.polytope is None or slack_of_polytope(*cert.polytope) == m))
     except ValueError:  # mis-shaped blocks, or a V point outside the H-polytope

@@ -174,12 +174,6 @@ class Matrix:
     def is_nonnegative(self) -> bool:
         return all(x.numerator >= 0 for r in self.data for x in r)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("hstack: row mismatch")
-        return Matrix._of(tuple(r + s for r, s in zip(self.data, other.data)),
-                          self.cols + other.cols)
-
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("vstack: column mismatch")
@@ -305,7 +299,7 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    aug = m.hstack(Matrix.identity(n))
+    aug = Matrix._of(tuple(r + unit(n, i) for i, r in enumerate(m.data)), 2 * n)
     r, pivots, rk = rref(aug)
     if rk < n or any(p >= n for p in pivots):
         raise ValueError("singular matrix")

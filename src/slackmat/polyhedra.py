@@ -276,14 +276,6 @@ def slack_of_polytope(v: PolytopeRep, h: PolytopeRep) -> Matrix:
     return Matrix(rows, cols=len(h.vectors))
 
 
-def _slack_is_scaled(v: PolytopeRep, h: PolytopeRep,
-                     rows: Sequence[tuple[Sequence[int], int]],
-                     scale: Fraction) -> bool:
-    """Whether slack_of_polytope(v, h) equals scale times the matrix whose
-    rows are given cleared; raises as that does."""
-    return _table_is_scaled(list(_slack_numerators(v, h)), rows, scale)
-
-
 def _table_is_scaled(slack, rows: Sequence[tuple[Sequence[int], int]],
                      scale: Fraction) -> bool:
     """Whether a slack table, rows of (numerator, denominator) int pairs as
@@ -302,18 +294,16 @@ def _h_polytope_constraints(h: PolytopeRep) -> list[Constraint]:
 
 
 def _implicit_equalities(constraints: list[Constraint],
-                         points: Sequence[Vec]) -> list[Vec]:
+                         tight: Sequence[int]) -> list[Vec]:
     """Normals of the inequalities that are tight on the whole feasible set.
 
-    `points` are known feasible points.  A row with slack at any of them is
-    not tight on the whole set, so only the rows tight at every point get
-    an LP.  Given the points of a V-polytope Q inside P, these are the zero
-    columns of the slack matrix of Q in P.
+    `tight` indexes the rows tight at some known feasible points; a row with
+    slack at a feasible point is not tight on the whole set, so only these
+    rows get an LP.  For the points of a V-polytope Q inside P, they are the
+    zero columns of the slack matrix of Q in P.
     """
     normals = []
-    for ci in constraints:
-        if any(dot(ci.coeffs, x) != ci.rhs for x in points):
-            continue
+    for ci in (constraints[i] for i in tight):
         # Maximize the slack of row i; cap it at 1 to keep the LP bounded.
         sign = Fraction(-1) if ci.rel == lp.LE else Fraction(1)
         slack_obj = vscale(sign, ci.coeffs)
@@ -354,7 +344,9 @@ def dimension(rep: ConeRep | PolytopeRep) -> int:
         raise EmptyPolyhedronError("empty")
     if out.value > 0:
         return n
-    normals = _implicit_equalities(constraints, [out.point[:n]])
+    x = out.point[:n]
+    tight = [i for i, ci in enumerate(constraints) if dot(ci.coeffs, x) == ci.rhs]
+    normals = _implicit_equalities(constraints, tight)
     return n - rank(Matrix(normals, cols=n))
 
 
@@ -397,8 +389,11 @@ def facet_inequalities(p: PolytopeRep) -> PolytopeRep:
 
 
 def vertices_of_h_polytope(h: PolytopeRep) -> list[Vec]:
-    """Vertices of a bounded H-polytope; raises if a recession ray exists."""
-    cone_v = dd_h_to_v(homogenize(h))
+    """Vertices of a bounded H-polytope, none if it is empty; raises if a
+    recession ray exists."""
+    n = h.ambient_dim
+    cone = homogenize(h)  # and t >= 0, so that t < 0 adds no ray
+    cone_v = dd_h_to_v(ConeRep("H", n + 1, cone.vectors + (unit(n + 1, 0),)))
     if cone_v.lineality:
         raise ValueError("H-polyhedron is not pointed")
     verts = []
@@ -414,11 +409,10 @@ def polar(p: PolytopeRep) -> PolytopeRep:
     normals scaled so each inequality reads a.x <= 1 become the points."""
     if p.form != "V":
         raise ValueError("expected V-form polytope")
-    if not contains_origin_interior(p):
+    # 0 is interior iff every facet offset is positive; an implicit equality
+    # comes as an opposite pair, and one row of it has beta <= 0.
+    facets = facet_inequalities(p).inequalities()
+    if any(beta <= 0 for beta, _ in facets):
         raise ValueError("0 is not interior to the polytope")
-    verts = []
-    for beta, a in facet_inequalities(p).inequalities():
-        # 0 interior makes every facet offset positive.
-        assert beta > 0
-        verts.append(vscale(Fraction(1) / beta, a))
-    return PolytopeRep("V", p.ambient_dim, tuple(sorted(set(verts))))
+    verts = {vscale(Fraction(1) / beta, a) for beta, a in facets}
+    return PolytopeRep("V", p.ambient_dim, tuple(sorted(verts)))

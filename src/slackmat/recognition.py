@@ -51,7 +51,6 @@ from .polyhedra import (
     ConeRep,
     PolytopeRep,
     _dd,
-    _slack_is_scaled,
     _slack_numerators,
     _table_is_scaled,
     canonical_ray,
@@ -237,25 +236,21 @@ def is_cone_slack(m: Matrix) -> RecognitionResult:
     return ccgc_check(m)
 
 
-def _polytope_verdict(m: Matrix) -> RecognitionResult | _Echelon:
-    """The polytope verdict alone: the NO result, or the elimination of
-    [M | 1] that passed.  The DD runs only past the rank and span tests."""
+def _polytope_verdict(m: Matrix) -> tuple[_Echelon, Optional[NoCertificate]]:
+    """The polytope verdict alone: (e, no), the elimination of [M | 1] and
+    the NO certificate, or None.  The DD runs only past the rank and span
+    tests."""
     e, _ = _recognized(m, ccgc=False)
     if len(e.pivots) < 2:
-        cert = NoCertificate(RANK_TOO_SMALL)
-        return RecognitionResult(False, KIND_POLYTOPE, cert)
+        return e, NoCertificate(RANK_TOO_SMALL)
     if e.c is None:
         # z m = 0 iff z a = 0; the rows of a^T are m's pivot columns.
         cols, _ = _columns(e.rows)
         at = [primitive(cols[j]) for j in e.pivots]
         z = next(z for z in _kernel_basis(*_echelon(at, m.rows), m.rows)
                  if sum(z) != 0)
-        cert = NoCertificate(ONES_NOT_IN_SPAN, witness=z)
-        return RecognitionResult(False, KIND_POLYTOPE, cert)
-    _, no = _recognized(m)
-    if no:
-        return RecognitionResult(False, KIND_POLYTOPE, no)
-    return e
+        return e, NoCertificate(ONES_NOT_IN_SPAN, witness=z)
+    return _recognized(m)
 
 
 def is_polytope_slack(m: Matrix) -> RecognitionResult:
@@ -264,10 +259,8 @@ def is_polytope_slack(m: Matrix) -> RecognitionResult:
     Requires rank at least two, the all-ones vector in the column span, and
     the CCGC; the yes-certificate carries a realized polytope.
     """
-    e = _polytope_verdict(m)
-    if isinstance(e, RecognitionResult):
-        return e
-    return RecognitionResult(True, KIND_POLYTOPE, _certificate(m, e))
+    e, no = _polytope_verdict(m)
+    return RecognitionResult(no is None, KIND_POLYTOPE, no or _certificate(m, e))
 
 
 def verify_no_certificate(m: Matrix, cert: NoCertificate) -> bool:
@@ -350,7 +343,7 @@ def _certificate(m: Matrix, e: _Echelon, factors=None) -> YesCertificate:
     v = PolytopeRep._of("V", k - 1, tuple(row[1:] for row in a2.data))
     h = PolytopeRep._of("H", k - 1, tuple(
         (col[0],) + tuple(-x for x in col[1:]) for col in zip(*b2.data)))
-    if not _slack_is_scaled(v, h, e.rows, one):
+    if not _table_is_scaled(list(_slack_numerators(v, h)), e.rows, one):
         raise AssertionError("reconstruction failed to reproduce the matrix")
     return YesCertificate(a=a2, b=b2, mu=mu, polytope=(v, h))
 
@@ -367,8 +360,8 @@ def reconstruct_polytope(
     the first nonzero coordinate of c, and is applied in closed form.  An
     explicit factorization may be supplied; the default is the certificate's.
     """
-    e = _polytope_verdict(m)
-    if isinstance(e, RecognitionResult):
+    e, no = _polytope_verdict(m)
+    if no:
         raise ValueError("not a slack matrix of a polytope")
     if factors is not None:
         a, b = factors
@@ -442,8 +435,8 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
     Its slack table, transposed the polar's, is checked against alpha m.
     Right after is_polytope_slack(m), m is neither eliminated nor DD'd again.
     """
-    e = _polytope_verdict(m)
-    if isinstance(e, RecognitionResult):
+    e, no = _polytope_verdict(m)
+    if no:
         raise ValueError("matrix is not a polytope slack matrix")
     # b's pivot columns are the identity, so (nu a) b = 1 forces nu a = 1:
     # it holds iff every column of b sums to 1.

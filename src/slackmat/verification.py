@@ -14,7 +14,7 @@ from .polyhedra import (
     dimension,
     slack_of_polytope,
 )
-from .recognition import NoCertificate, RecognitionResult, _polytope_verdict
+from .recognition import NoCertificate, _polytope_verdict
 
 EQUAL = "equal"
 NOT_POINTED = "not_pointed"
@@ -66,13 +66,14 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
     if rank(w) < n:
         return VerificationResult(False, NOT_POINTED)
     dim_q = dimension(q)
-    eqs = _implicit_equalities(_h_polytope_constraints(p), q.points())
+    zero = [j for j, col in enumerate(zip(*m.data)) if not any(col)]
+    eqs = _implicit_equalities(_h_polytope_constraints(p), zero)
     dim_p = n - rank(Matrix(eqs, cols=n))
     if dim_q != dim_p:
         return VerificationResult(False, DIM_MISMATCH, dims=(dim_q, dim_p))
     if dim_q == 0:
         return VerificationResult(True, EQUAL)  # two single points, Q in P
-    res = _polytope_verdict(m)
-    if isinstance(res, RecognitionResult):
-        return VerificationResult(False, SLACK_REJECT, witness=res.certificate)
+    _, no = _polytope_verdict(m)
+    if no:
+        return VerificationResult(False, SLACK_REJECT, witness=no)
     return VerificationResult(True, EQUAL)

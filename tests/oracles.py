@@ -426,7 +426,9 @@ def verify_equality_fraction_reference(q: PolytopeRep, p: PolytopeRep):
     if rank(Matrix([a for _, a in p.inequalities()], cols=n)) < n:
         return VerificationResult(False, NOT_POINTED)
     dim_q = dimension(q)
-    eqs = _implicit_equalities(_h_polytope_constraints(p), q.points())
+    tight = [j for j, (beta, a) in enumerate(p.inequalities())
+             if all(dot(a, x) == beta for x in q.points())]
+    eqs = _implicit_equalities(_h_polytope_constraints(p), tight)
     dim_p = n - rank(Matrix(eqs, cols=n))
     if dim_q != dim_p:
         return VerificationResult(False, DIM_MISMATCH, dims=(dim_q, dim_p))

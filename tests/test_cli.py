@@ -348,6 +348,15 @@ class TestOtherCommands:
             assert run(["verify-cert", prism_file, str(cert)]) == 1
             assert capsys.readouterr().out.strip() == "CERT invalid"
 
+    def test_verify_cert_yes_rejects_negative_matrix(self, tmp_path, capsys):
+        f = write_doc(tmp_path / "neg.matrix", Matrix([[-1, 2]]))
+        assert run(["check-cone", f]) == 2
+        capsys.readouterr()
+        cert = tmp_path / "neg.cert"
+        cert.write_text("CERT YES\nA 1 1\n1\nB 1 2\n-1 2\n")
+        assert run(["verify-cert", f, str(cert)]) == 1
+        assert capsys.readouterr().out.strip() == "CERT invalid"
+
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 1: verify-cert accepts any A B = M as a YES certificate"))
     def test_verify_cert_rejects_forged_yes(self, tmp_path, capsys):

@@ -209,7 +209,7 @@ class TestSolveLinear:
     def test_solution_or_rank_jump(self, m, data):
         b = data.draw(st.lists(fracs, min_size=m.rows, max_size=m.rows))
         x = solve_linear(m, b)
-        aug = m.hstack(Matrix([[v] for v in b], cols=1))
+        aug = Matrix([r + (v,) for r, v in zip(m.data, b)], cols=m.cols + 1)
         if x is None:
             assert rank(aug) > rank(m)
         else:

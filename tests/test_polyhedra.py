@@ -28,7 +28,8 @@ from slackmat.polyhedra import (
     _dd,
     _lineality_rref_basis,
     _project_off,
-    _slack_is_scaled,
+    _slack_numerators,
+    _table_is_scaled,
     contains_origin_interior,
     facet_inequalities,
     vertices_of_h_polytope,
@@ -243,9 +244,10 @@ def _times(scale, m):
 
 
 class TestIntegerReproductionCheck:
-    """`_slack_is_scaled(v, h, rows, scale)`, with rows m's rows cleared to
-    (ints, d) pairs, decides slack_of_polytope(v, h) == scale * m without
-    forming that matrix."""
+    """`_table_is_scaled(slack, rows, scale)`, with slack the table
+    `_slack_numerators(v, h)` yields and rows m's rows cleared to (ints, d)
+    pairs, decides slack_of_polytope(v, h) == scale * m without forming that
+    matrix."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_fraction_comparison(self, seed):
@@ -266,12 +268,13 @@ class TestIntegerReproductionCheck:
             for mm, sc, want in cases:
                 assert (slack_of_polytope(v, h) == _times(sc, mm)) == want
                 rows = [integer_vec(r) for r in mm.data]
-                assert _slack_is_scaled(v, h, rows, sc) == want
+                slack = list(_slack_numerators(v, h))
+                assert _table_is_scaled(slack, rows, sc) == want
 
     def test_outside_point_raises_like_slack_of_polytope(self):
         v = PolytopeRep("V", 2, ((2, 0),))
         with pytest.raises(ValueError, match="not contained"):
-            _slack_is_scaled(v, SQUARE_FACETS, [((0,) * 4, 1)], F(1))
+            list(_slack_numerators(v, SQUARE_FACETS))
 
 
 class TestTrustedPolytopeRep:
@@ -381,6 +384,43 @@ class TestPolar:
     def test_double_polar_recovers_square(self):
         p = polar(polar(SQUARE_VERTICES))
         assert set(p.vectors) == set(SQUARE_VERTICES.vectors)
+
+    def test_lower_dimensional_rejected(self):
+        segment = PolytopeRep("V", 2, ((-1, -1), (1, 1)))
+        with pytest.raises(ValueError, match="not interior"):
+            polar(segment)
+
+    def test_point_in_r0_is_its_own_polar(self):
+        assert polar(PolytopeRep("V", 0, ((),))).vectors == ((),)
+
+
+class TestContainsOriginInterior:
+    @pytest.mark.parametrize("p, want", [
+        (SQUARE_VERTICES, True),
+        (PolytopeRep("V", 2, ((1, 1), (2, 1), (1, 2))), False),
+        (PolytopeRep("V", 2, ((-1, -1), (1, 1))), False),
+        (PolytopeRep("V", 0, ((),)), True),
+    ], ids=["square", "triangle-off-origin", "segment-through-0", "point-in-r0"])
+    def test_cases(self, p, want):
+        assert contains_origin_interior(p) == want
+
+
+class TestVerticesOfHPolytope:
+    """The homogenization cone is cut by t >= 0, so a polyhedron's vertices
+    are read off rays with t > 0 and nothing comes from t < 0."""
+
+    def test_point_in_r1(self):
+        h = PolytopeRep("H", 1, ((0, 1), (0, -1)))
+        assert vertices_of_h_polytope(h) == [(F(0),)]
+
+    def test_empty_has_no_vertices(self):
+        h = PolytopeRep("H", 1, ((0, 1), (-1, -1)))
+        assert vertices_of_h_polytope(h) == []
+
+    def test_half_line_is_unbounded(self):
+        h = PolytopeRep("H", 1, ((0, -1),))
+        with pytest.raises(ValueError, match="unbounded"):
+            vertices_of_h_polytope(h)
 
 
 @st.composite

@@ -372,7 +372,7 @@ class TestReconstructPolytope:
     @pytest.fixture
     def checks(self, monkeypatch):
         """The number of reproduction checks, at every slackmat binding."""
-        check, count = polyhedra._slack_is_scaled, [0]
+        check, count = polyhedra._table_is_scaled, [0]
 
         def counting(*args):
             count[0] += 1
@@ -704,8 +704,8 @@ class TestClosedFormPolar:
         assert outcome == _polar_outcome(polar_realization_fraction_reference, m)
 
     def test_round_60_c_ends_in_zero(self):
-        e = recognition._polytope_verdict(ROUND_60)
-        assert (len(e.pivots), e.c[-1]) == (3, 0)
+        e, no = recognition._polytope_verdict(ROUND_60)
+        assert (no, len(e.pivots), e.c[-1]) == (None, 3, 0)
 
 
 def _cert_text(res):
@@ -809,7 +809,7 @@ class TestRecognitionCache:
 
     def test_shared_elimination_is_immutable(self):
         m = _copy(PRISM_SCALED)
-        e = recognition._polytope_verdict(m)
+        e, _ = recognition._polytope_verdict(m)
         for field in (e.rows, e.b, e.c):
             assert isinstance(field, tuple)
         for row in e.rows + e.b:

@@ -58,3 +58,12 @@ def test_output_digest_seed_5():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == (
         "450aabeafc932bef970f17998d0c7b87ccc908f322760ba321f0331421b4ae52")
+
+
+def test_output_digest_seed_9():
+    # A third seed, pinned before verification read tightness off the slack
+    # matrix's zero columns and the polytope verdict became one (e, no) pair.
+    out = run_script("output_digest.py", "--seed", "9", "--count", "150")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == (
+        "b5d373678c745688a85a2cc7277766d5e21b88e3502b5ef12986c796618ba1b0")

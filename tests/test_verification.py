@@ -10,14 +10,22 @@ from slackmat import (
     containment_check,
     dimension,
     lp,
+    polar,
     rank,
     verify_no_certificate,
     verify_polytope_equality,
 )
+from slackmat import verification
 from slackmat.polyhedra import facet_inequalities, slack_of_polytope, vertices_of_h_polytope
 from slackmat.verification import DIM_MISMATCH, EQUAL, NOT_POINTED, SLACK_REJECT
 
-from golden import PRISM_FACETS, PRISM_VERTICES, SQUARE_FACETS, SQUARE_VERTICES
+from golden import (
+    BISIMPLEX_VERTICES,
+    PRISM_FACETS,
+    PRISM_VERTICES,
+    SQUARE_FACETS,
+    SQUARE_VERTICES,
+)
 from randgen import random_polytope, rng
 
 
@@ -181,6 +189,40 @@ class TestLpCount:
         res = verify_polytope_equality(*embed(SQUARE_VERTICES, SQUARE_FACETS))
         assert res.equal and res.reason == EQUAL
         assert len(lp_calls) == 2
+
+    @pytest.mark.parametrize("v, want", [
+        (SQUARE_VERTICES, {(1, 0), (-1, 0), (0, 1), (0, -1)}),
+        (PRISM_VERTICES, BISIMPLEX_VERTICES),
+    ], ids=["square", "prism"])
+    def test_polar_runs_no_lp(self, lp_calls, v, want):
+        assert set(polar(v).vectors) == want
+        assert lp_calls == []
+
+    @pytest.fixture
+    def tight_rows(self, monkeypatch):
+        """The row indices verification passes to _implicit_equalities."""
+        implicit, seen = verification._implicit_equalities, []
+
+        def spy(constraints, tight):
+            seen.append(list(tight))
+            return implicit(constraints, tight)
+
+        monkeypatch.setattr(verification, "_implicit_equalities", spy)
+        return seen
+
+    @pytest.mark.parametrize("q, p, want", [
+        (on_facet(PRISM_VERTICES, PRISM_FACETS, 0), PRISM_FACETS, [0]),
+        (*embed(SQUARE_VERTICES, SQUARE_FACETS), [4, 5]),
+        (*embed(PRISM_VERTICES, PRISM_FACETS), [5, 6]),
+        (*embed(on_facet(PRISM_VERTICES, PRISM_FACETS, 0), PRISM_FACETS),
+         [0, 5, 6]),
+    ], ids=["prism-one-facet", "square-embedded", "prism-embedded",
+            "prism-one-facet-embedded"])
+    def test_only_zero_columns_are_passed(self, tight_rows, q, p, want):
+        s = slack_of_polytope(q, p)
+        zero = [j for j in range(s.cols) if all(row[j] == 0 for row in s.data)]
+        verify_polytope_equality(q, p)
+        assert tight_rows == [zero] == [want]
 
 
 def _edge(q, p):
