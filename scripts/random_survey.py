@@ -2,9 +2,10 @@
 """Survey recognition behaviour on seeded random matrices.
 
 Draws random nonnegative matrices (a mix of arbitrary ones and guaranteed
-cone slack products), runs every recognition route on each, and reports
-acceptance rates plus any cross-route disagreement.  A disagreement would
-be a bug; the script exits nonzero in that case.
+cone slack products), runs every recognition route on each, checks every
+certificate they produce, and reports acceptance rates plus any cross-route
+disagreement or invalid certificate.  Either would be a bug; the script
+exits nonzero in that case.
 """
 
 import argparse
@@ -23,6 +24,8 @@ from slackmat import (
     is_cone_slack,
     is_polytope_slack,
     rcgc_check,
+    verify_no_certificate,
+    verify_yes_certificate,
 )
 from slackmat.matrix import rank
 
@@ -39,26 +42,27 @@ class SurveyConfig:
 
 def survey(cfg: SurveyConfig) -> int:
     r = rng(cfg.seed)
-    cone_yes = poly_yes = checked_poly = disagreements = 0
+    cone_yes = poly_yes = checked_poly = disagreements = invalid = 0
     t0 = time.time()
     for i in range(cfg.count):
         if i % 2:
             m = random_slack_like_matrix(r, max_dim=3, max_pts=6)
         else:
             m = random_nonneg_matrix(r, cfg.max_rows, cfg.max_cols)
-        routes = [
-            ccgc_check(m).verdict,
-            rcgc_check(m).verdict,
-            is_cone_slack(m).verdict,
-            cone_check_via_polytope(m),
-        ]
+        results = [ccgc_check(m), rcgc_check(m), is_cone_slack(m), is_polytope_slack(m)]
+        for res in results:
+            check = verify_yes_certificate if res.verdict else verify_no_certificate
+            if not check(m, res.certificate):
+                invalid += 1
+                print("invalid %s certificate on %r" % (res.kind, m), file=sys.stderr)
+        routes = [res.verdict for res in results[:3]] + [cone_check_via_polytope(m)]
         if len(set(routes)) != 1:
             disagreements += 1
             print("cone-route disagreement on %r" % m, file=sys.stderr)
         cone_yes += routes[0]
         if rank(m) >= 2:
             checked_poly += 1
-            a = is_polytope_slack(m).verdict
+            a = results[3].verdict
             b = affine_criterion_check(m)
             if a != b:
                 disagreements += 1
@@ -70,8 +74,9 @@ def survey(cfg: SurveyConfig) -> int:
     print("polytope slack rate: %.1f%% (of %d with rank >= 2)"
           % (100.0 * poly_yes / max(checked_poly, 1), checked_poly))
     print("disagreements:       %d" % disagreements)
+    print("invalid certificates: %d" % invalid)
     print("elapsed:             %.2fs" % dt)
-    return 1 if disagreements else 0
+    return 1 if disagreements or invalid else 0
 
 
 def main():

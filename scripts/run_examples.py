@@ -26,6 +26,7 @@ from slackmat import (
     reconstruct_polytope,
     slack_of_polytope,
     verify_no_certificate,
+    verify_yes_certificate,
 )
 from slackmat.combinatorial import NOT_APPLICABLE
 from slackmat.recognition import polar_realization
@@ -59,8 +60,8 @@ def describe(name, m):
     print("  polytope slack: %s" % ("yes" if poly.verdict else
                                     "no (%s)" % poly.certificate.reason))
     for res in (cone, poly):
-        if not res.verdict:
-            assert verify_no_certificate(m, res.certificate), "bad certificate"
+        check = verify_yes_certificate if res.verdict else verify_no_certificate
+        assert check(m, res.certificate), "bad certificate"
     if poly.verdict:
         v, h = reconstruct_polytope(m)
         assert slack_of_polytope(v, h) == m

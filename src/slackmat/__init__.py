@@ -43,6 +43,7 @@ from .recognition import (
     reconstruct_cone,
     reconstruct_polytope,
     verify_no_certificate,
+    verify_yes_certificate,
 )
 from .combinatorial import incidence_matrix, polygon_slack_check
 from .verification import (
@@ -85,6 +86,7 @@ __all__ = [
     "is_polytope_slack",
     "affine_criterion_check",
     "verify_no_certificate",
+    "verify_yes_certificate",
     "reconstruct_cone",
     "reconstruct_polytope",
     "cone_check_via_polytope",

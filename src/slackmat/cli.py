@@ -14,14 +14,14 @@ import sys
 
 from . import combinatorial, formats, recognition, verification
 from .formats import Document, FormatError, document_for
-from .matrix import Matrix, ones, rank
+from .matrix import Matrix, rank
 from .polyhedra import (
     ConeRep,
     PolytopeRep,
     slack_of_cone,
     slack_of_polytope,
 )
-from .recognition import NoCertificate, YesCertificate
+from .recognition import NoCertificate
 
 
 class CliError(Exception):
@@ -185,23 +185,13 @@ def _cmd_polar_realize(args) -> int:
     return 0
 
 
-def _yes_certificate_holds(m: Matrix, cert: YesCertificate) -> bool:
-    # Necessary checks only, not yet sound: every nonnegative m = a b for some a, b.
-    try:
-        return (m.is_nonnegative() and cert.a * cert.b == m
-                and (cert.mu is None or m.matvec(cert.mu) == ones(m.rows))
-                and (cert.polytope is None or slack_of_polytope(*cert.polytope) == m))
-    except ValueError:  # mis-shaped blocks, or a V point outside the H-polytope
-        return False
-
-
 def _cmd_verify_cert(args) -> int:
     m: Matrix = _load(args.matrix, (formats.MATRIX,)).payload
     cert = _load(args.cert, (formats.CERT,)).payload
     if isinstance(cert, NoCertificate):
         ok = recognition.verify_no_certificate(m, cert)
     else:
-        ok = _yes_certificate_holds(m, cert)
+        ok = recognition.verify_yes_certificate(m, cert)
     _emit(args, "CERT valid" if ok else "CERT invalid")
     return 0 if ok else 1
 

@@ -130,11 +130,6 @@ def lp_solve(objective: Sequence, constraints: Sequence[Constraint],
         if len(ci.coeffs) != n:
             raise ValueError("constraint arity mismatch")
 
-    if m == 0:
-        if all(x == 0 for x in c):
-            return LpOutcome(OPTIMAL, point=vec([0] * n), value=Fraction(0))
-        return LpOutcome(UNBOUNDED)
-
     # Standard form: x = u - v with u, v >= 0, one slack per inequality.
     n_slack = sum(1 for ci in constraints if ci.rel != EQ)
     nstruct = 2 * n + n_slack

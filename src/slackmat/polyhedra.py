@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .matrix import (
     Matrix,
@@ -352,28 +352,10 @@ def dimension(rep: ConeRep | PolytopeRep) -> int:
 
 def contains_origin_interior(p: PolytopeRep) -> bool:
     """Exact test for 0 being in the (full-dimensional) interior of a
-    V-polytope: full affine rank plus a strictly positive convex combination
-    of the vertices hitting the origin."""
-    if p.form != "V":
-        raise ValueError("expected V-form polytope")
-    n = p.ambient_dim
-    pts = p.points()
-    if dimension(p) != n:
-        return False
-    k = len(pts)
-    # Variables: lambda_1..k and t; maximize t subject to lambda_i >= t.
-    constraints: list[Constraint] = []
-    for j in range(n):
-        constraints.append(Constraint([pt[j] for pt in pts] + [0], lp.EQ, 0))
-    constraints.append(Constraint([1] * k + [0], lp.EQ, 1))
-    for i in range(k):
-        constraints.append(Constraint(unit(k + 1, i), lp.GE, 0))
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[i] = Fraction(1)
-        coeffs[k] = Fraction(-1)
-        constraints.append(Constraint(coeffs, lp.GE, 0))
-    out = lp.lp_solve(unit(k + 1, k), constraints, sense="max")
-    return out.status == lp.OPTIMAL and out.value > 0
+    V-polytope, read off its facet offsets (`_interior_facets`)."""
+    if p.form == "V" and not p.vectors:
+        raise ValueError("empty V-polytope")
+    return _interior_facets(p) is not None
 
 
 def facet_inequalities(p: PolytopeRep) -> PolytopeRep:
@@ -394,6 +376,9 @@ def vertices_of_h_polytope(h: PolytopeRep) -> list[Vec]:
     n = h.ambient_dim
     cone = homogenize(h)  # and t >= 0, so that t < 0 adds no ray
     cone_v = dd_h_to_v(ConeRep("H", n + 1, cone.vectors + (unit(n + 1, 0),)))
+    # Lineality lies in t = 0, so the polyhedron is empty iff no ray has t > 0.
+    if all(r[0] == 0 for r in cone_v.vectors):
+        return []
     if cone_v.lineality:
         raise ValueError("H-polyhedron is not pointed")
     verts = []
@@ -404,15 +389,21 @@ def vertices_of_h_polytope(h: PolytopeRep) -> list[Vec]:
     return verts
 
 
+def _interior_facets(p: PolytopeRep) -> Optional[list[tuple[Fraction, Vec]]]:
+    """The facets (beta, a) of a V-polytope when 0 is interior to it, else
+    None.  0 is interior iff every facet offset is positive; an implicit
+    equality comes as an opposite pair, and one row of it has beta <= 0."""
+    if p.form != "V":
+        raise ValueError("expected V-form polytope")
+    facets = facet_inequalities(p).inequalities()
+    return None if any(beta <= 0 for beta, _ in facets) else facets
+
+
 def polar(p: PolytopeRep) -> PolytopeRep:
     """Polar dual of a V-polytope with 0 strictly interior: the facet
     normals scaled so each inequality reads a.x <= 1 become the points."""
-    if p.form != "V":
-        raise ValueError("expected V-form polytope")
-    # 0 is interior iff every facet offset is positive; an implicit equality
-    # comes as an opposite pair, and one row of it has beta <= 0.
-    facets = facet_inequalities(p).inequalities()
-    if any(beta <= 0 for beta, _ in facets):
+    facets = _interior_facets(p)
+    if facets is None:
         raise ValueError("0 is not interior to the polytope")
     verts = {vscale(Fraction(1) / beta, a) for beta, a in facets}
     return PolytopeRep("V", p.ambient_dim, tuple(sorted(verts)))

@@ -16,8 +16,9 @@ and every later step works on those ints.
 
 Every verdict ships a certificate: an exact rank factorization on yes, a
 point-and-separator witness (or a span/rank witness for the polytope-only
-preconditions) on no.  Certificates are re-checkable by plain arithmetic,
-independent of the decision path.
+preconditions) on no.  Certificates are re-checkable independently of the
+decision path: a no by plain arithmetic, a yes by one double description on
+its own factors.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from .polyhedra import (
     _slack_numerators,
     _table_is_scaled,
     canonical_ray,
-    dd_h_to_v,
+    slack_of_polytope,
+    vertices_of_h_polytope,
 )
 
 KIND_CONE = "cone"
@@ -297,6 +299,45 @@ def verify_no_certificate(m: Matrix, cert: NoCertificate) -> bool:
         return False
 
 
+def _generators(vectors) -> dict[tuple[int, ...], None]:
+    """The distinct nonzero primitive int forms of the vectors, as an
+    insertion-ordered set."""
+    return dict.fromkeys(
+        primitive(integer_vec(v)[0]) for v in vectors if not is_zero_vec(v))
+
+
+def verify_yes_certificate(m: Matrix, cert: YesCertificate) -> bool:
+    """Re-check an acceptance certificate without recognition's elimination.
+
+    With m >= 0 and a b = m, the CCGC of m holds iff cone(b) = {y : a y >= 0}:
+    iff every extreme ray of that cone is a positive multiple of a column of
+    b, or, dually, every one of {x : x b >= 0} of a row of a.  One DD decides
+    it on the side with fewer distinct generators; a lineality space there
+    (a factor of rank below a.cols) fails.  With mu it also needs rank(m) >= 2
+    and m mu = 1, and with a V/H pair that its slack matrix is m and [1 | V]
+    has rank a.cols.  Invalid or ill-shaped certificates return False.
+    """
+    a, b = cert.a, cert.b
+    try:
+        if not m.is_nonnegative() or a * b != m:
+            return False
+        if cert.mu is not None and (len(cert.mu) != m.cols or rank(m) < 2
+                                    or m.matvec(cert.mu) != ones(m.rows)):
+            return False
+        if cert.polytope is not None:
+            v, h = cert.polytope
+            lifted = Matrix([(1,) + pt for pt in v.points()], cols=v.ambient_dim + 1)
+            if slack_of_polytope(v, h) != m or rank(lifted) != a.cols:
+                return False
+    except ValueError:  # mis-shaped blocks, or a V point outside the H-polytope
+        return False
+    rows, cols = _generators(a.data), _generators(b.columns())
+    if len(cols) < len(rows):
+        rows, cols = cols, rows
+    rays, lin = _dd(rows, a.cols)
+    return not lin and all(y in cols for y, _ in rays)
+
+
 def reconstruct_cone(m: Matrix) -> tuple[ConeRep, ConeRep]:
     """Realizing cone of a cone slack matrix: a rank factorization m = a b
     gives generators (rows of a) and inequality normals (columns of b)."""
@@ -391,8 +432,9 @@ def affine_criterion_check(m: Matrix) -> bool:
     """Geometric polytope criterion: conv(rows) equals the intersection of
     the affine hull of the rows with the nonnegative orthant.
 
-    Decided by enumerating the vertices and recession rays of that
-    intersection through the homogenization cone; independent of
+    That intersection is an H-polytope in R^q, x >= 0 with the affine hull
+    as opposite pairs, whose vertices vertices_of_h_polytope enumerates; it
+    must be bounded with every vertex a row.  Independent of
     is_polytope_slack and used as its cross-check oracle.
     """
     _require_nonnegative(m)
@@ -401,22 +443,18 @@ def affine_criterion_check(m: Matrix) -> bool:
     q = m.cols
     r0 = m.row(0)
     diffs = Matrix([vsub(r, r0) for r in m.data[1:]], cols=q)
-    normals: list[Vec] = []
+    rows = [(Fraction(0),) + vscale(Fraction(-1), unit(q, j)) for j in range(q)]
     for z in right_kernel_basis(diffs):
-        eq = (-dot(z, r0),) + z
-        normals.append(vec(eq))
-        normals.append(vscale(Fraction(-1), eq))
-    normals.append(unit(q + 1, 0))  # homogenizing coordinate
-    normals.extend(unit(q + 1, j + 1) for j in range(q))
-    k = dd_h_to_v(ConeRep("H", q + 1, tuple(normals)))
-    row_set = set(m.data)
-    for ray in k.vectors:
-        if ray[0] == 0:
-            return False  # unbounded: a recession direction survives
-        vertex = vscale(Fraction(1) / ray[0], ray[1:])
-        if vertex not in row_set:
-            return False
-    return True
+        beta = dot(z, r0)
+        rows += [(beta,) + z, (-beta,) + vscale(Fraction(-1), z)]
+    try:
+        verts = vertices_of_h_polytope(PolytopeRep("H", q, tuple(rows)))
+    except ValueError as e:
+        # x >= 0 keeps the cone pointed, so only a recession ray is left.
+        if str(e) != "H-polyhedron is unbounded":
+            raise
+        return False
+    return set(verts) <= set(m.data)
 
 
 def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:

@@ -171,6 +171,24 @@ def in_convex_hull(point, points):
     return False
 
 
+def origin_interior_lp_reference(p: PolytopeRep) -> bool:
+    """0 in the interior of a V-polytope by the LP route: full affine rank,
+    and a convex combination of the points hitting 0 with every weight at
+    least some t > 0."""
+    n, pts = p.ambient_dim, p.points()
+    if dimension(p) != n:
+        return False
+    k = len(pts)
+    # Variables: lambda_1..k and t; maximize t subject to lambda_i >= t.
+    constraints = [Constraint([pt[j] for pt in pts] + [0], EQ, 0) for j in range(n)]
+    constraints.append(Constraint([1] * k + [0], EQ, 1))
+    for i in range(k):
+        constraints.append(Constraint(unit(k + 1, i), GE, 0))
+        constraints.append(Constraint(vsub(unit(k + 1, i), unit(k + 1, k)), GE, 0))
+    out = lp_solve(unit(k + 1, k), constraints, sense="max")
+    return out.status == OPTIMAL and out.value > 0
+
+
 def polar_scale_reference(m: Matrix):
     """Scale of the polar realization by the two-recognition route: None
     unless m and its transpose are both recognized as polytope slack

@@ -84,6 +84,26 @@ def random_polytope(r, max_dim=4, max_vertices=8):
             return v, h
 
 
+def random_v_polytope_about_origin(r, max_dim=3, max_pts=6):
+    """Points in R^n, n <= max_dim, on a coordinate hyperplane three times
+    in ten (so lower-dimensional), shifted so that 0 is their
+    centroid, a point, the midpoint of two points or left where it falls:
+    0 lands inside, on the boundary and outside."""
+    n, k = r.randint(1, max_dim), r.randint(1, max_pts)
+    pts = [[random_fraction(r, -3, 3) for _ in range(n)] for _ in range(k)]
+    if r.random() < 0.3:
+        for pt in pts:
+            pt[-1] = F(0)
+    a, b = r.choice(pts), r.choice(pts)
+    c = r.choice([
+        [sum(col) / k for col in zip(*pts)],
+        a,
+        [(x + y) / 2 for x, y in zip(a, b)],
+        [F(0)] * n,
+    ])
+    return PolytopeRep("V", n, tuple(tuple(x - y for x, y in zip(pt, c)) for pt in pts))
+
+
 def random_lattice_polygon(r, min_vertices=3, max_vertices=9, box=6):
     """Convex lattice polygon in the plane with between 3 and 9 vertices."""
     from slackmat import minimal_vrep

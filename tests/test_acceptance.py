@@ -25,6 +25,7 @@ from slackmat import (
     slack_of_polytope,
     verify_no_certificate,
     verify_polytope_equality,
+    verify_yes_certificate,
 )
 from slackmat.combinatorial import NOT_APPLICABLE
 from slackmat.matrix import rank, vsub
@@ -57,6 +58,7 @@ def check_certificate(m, res):
         cert = res.certificate
         assert isinstance(cert, YesCertificate)
         assert cert.a * cert.b == m
+        assert verify_yes_certificate(m, cert)
     else:
         assert verify_no_certificate(m, res.certificate)
 

@@ -357,8 +357,6 @@ class TestOtherCommands:
         assert run(["verify-cert", f, str(cert)]) == 1
         assert capsys.readouterr().out.strip() == "CERT invalid"
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: verify-cert accepts any A B = M as a YES certificate"))
     def test_verify_cert_rejects_forged_yes(self, tmp_path, capsys):
         f = write_doc(tmp_path / "c.matrix", COUNTEREXAMPLE)
         a, b = rank_factorization(COUNTEREXAMPLE)

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from slackmat import lp_solve
@@ -44,6 +45,16 @@ class TestExamples:
         assert out.status == OPTIMAL
         assert out.value == 1
 
+
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_no_constraints(self, n, sense):
+        # The tableau has no rows: a zero objective is optimal at the origin
+        # and any other is unbounded.
+        out = lp_solve([0] * n, [], sense=sense)
+        assert (out.status, out.point, out.value) == (OPTIMAL, (F(0),) * n, 0)
+        if n:
+            assert lp_solve([1, -1], [], sense=sense).status == UNBOUNDED
 
 @st.composite
 def random_systems(draw):

@@ -47,8 +47,12 @@ from golden import (
     SQUARE_HOMOG_B,
     SQUARE_VERTICES,
 )
-from oracles import brute_force_rays, dd_h_to_v_rank_reference
-from randgen import random_polytope, rng
+from oracles import (
+    brute_force_rays,
+    dd_h_to_v_rank_reference,
+    origin_interior_lp_reference,
+)
+from randgen import random_polytope, random_v_polytope_about_origin, rng
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -404,6 +408,31 @@ class TestContainsOriginInterior:
     def test_cases(self, p, want):
         assert contains_origin_interior(p) == want
 
+    def test_matches_lp_reference(self):
+        # 1,000 seeded V-polytopes, lower-dimensional ones and 0 on the
+        # boundary included, and the point of R^0: the facet offsets give
+        # the LP route's answer, and polar raises exactly when it is False.
+        r = rng(17)
+        polys = [random_v_polytope_about_origin(r) for _ in range(1000)]
+        answers = []
+        for p in polys + [PolytopeRep("V", 0, ((),))]:
+            want = origin_interior_lp_reference(p)
+            assert contains_origin_interior(p) == want
+            answers.append(want)
+            if want:
+                assert len(polar(p).vectors) >= 1
+            else:
+                with pytest.raises(ValueError, match="0 is not interior"):
+                    polar(p)
+        assert 200 < sum(answers) < 800
+
+    def test_empty_polytope(self):
+        empty = PolytopeRep("V", 2, ())
+        with pytest.raises(ValueError, match="empty V-polytope"):
+            contains_origin_interior(empty)
+        with pytest.raises(ValueError, match="0 is not interior to the polytope"):
+            polar(empty)
+
 
 class TestVerticesOfHPolytope:
     """The homogenization cone is cut by t >= 0, so a polyhedron's vertices
@@ -415,6 +444,12 @@ class TestVerticesOfHPolytope:
 
     def test_empty_has_no_vertices(self):
         h = PolytopeRep("H", 1, ((0, 1), (-1, -1)))
+        assert vertices_of_h_polytope(h) == []
+
+    def test_empty_with_a_free_direction(self):
+        # x <= 0 and x >= 1 with y free: the cone keeps the y axis as
+        # lineality, and no ray has t > 0.
+        h = PolytopeRep("H", 2, ((0, 1, 0), (-1, -1, 0)))
         assert vertices_of_h_polytope(h) == []
 
     def test_half_line_is_unbounded(self):

@@ -23,6 +23,7 @@ from slackmat import (
     slack_of_cone,
     slack_of_polytope,
     verify_no_certificate,
+    verify_yes_certificate,
 )
 from slackmat import lp, matrix, polyhedra, recognition
 from slackmat.formats import document_for, serialize
@@ -310,6 +311,82 @@ class TestVerifyNoCertificate:
         for convention in ("diagonal", "Column", ""):
             odd = NoCertificate(cert.reason, convention, cert.witness, cert.separator)
             assert not verify_no_certificate(COUNTEREXAMPLE, odd)
+
+
+class TestVerifyYesCertificate:
+    """A YES certificate holds iff m >= 0, a b = m and cone(b) = {y : a y >= 0},
+    decided by one DD on the factor with fewer distinct generators, plus
+    rank(m) >= 2 and m mu = 1 for a polytope claim."""
+
+    def test_forged_counterexample_rejected(self):
+        a, b = rank_factorization(COUNTEREXAMPLE)
+        assert a * b == COUNTEREXAMPLE
+        assert not verify_yes_certificate(COUNTEREXAMPLE, YesCertificate(a=a, b=b))
+
+    def test_own_certificates_hold(self):
+        r = rng(7)
+        for _ in range(100):
+            for m in recognition_inputs(r):
+                poly = is_polytope_slack(m)
+                for res in (ccgc_check(m), rcgc_check(m), poly):
+                    if res.verdict:
+                        assert verify_yes_certificate(m, res.certificate)
+                if poly.verdict:  # mu without the V/H pair
+                    c = poly.certificate
+                    assert verify_yes_certificate(m, YesCertificate(c.a, c.b, c.mu))
+
+    def test_rank_factorization_forgeries_rejected(self):
+        r = rng(7)
+        forged = 0
+        while forged < 1000:
+            m = random_slack_like_matrix(r) if forged % 2 else random_nonneg_matrix(r)
+            if not ccgc_check(m).verdict:
+                a, b = rank_factorization(m)
+                assert not verify_yes_certificate(m, YesCertificate(a=a, b=b))
+                forged += 1
+
+    @pytest.mark.parametrize("m, side", [(PRISM, "b"), (PRISM.transpose(), "a")],
+                             ids=["6x5-columns-of-b", "5x6-rows-of-a"])
+    def test_dd_runs_on_the_side_with_fewer_generators(self, monkeypatch, m, side):
+        cert = ccgc_check(m).certificate
+        seen = []
+        dd = recognition._dd
+        monkeypatch.setattr(recognition, "_dd", lambda rows, n: seen.append(rows) or dd(rows, n))
+        assert verify_yes_certificate(m, cert)
+        vectors = cert.b.columns() if side == "b" else cert.a.data
+        assert [list(rows) for rows in seen] == [
+            [primitive(integer_vec(v)[0]) for v in vectors]]
+
+    @pytest.mark.parametrize("m, a, b", [
+        ([[1, 1]], [[1, 0]], [[1, 1], [0, 5]]),
+        ([[1], [2]], [[1, 0], [2, 1]], [[1], [0]]),
+    ], ids=["a-rank-below-k", "b-rank-below-k"])
+    def test_rank_deficient_factor_rejected(self, m, a, b):
+        # Both matrices are cone slack matrices; the factors are not a
+        # certificate, because the DD side has a lineality space.
+        m, a, b = Matrix(m), Matrix(a), Matrix(b)
+        assert a * b == m and ccgc_check(m).verdict
+        assert not verify_yes_certificate(m, YesCertificate(a=a, b=b))
+
+    def test_mu_needs_rank_two(self):
+        one = Matrix([[1]])
+        assert verify_yes_certificate(one, YesCertificate(a=one, b=one))
+        assert not verify_yes_certificate(one, YesCertificate(a=one, b=one, mu=(F(1),)))
+
+    def test_realization_needs_full_affine_rank(self):
+        # Two facets x <= 1 and -x <= 1 of the square give a 4x2 slack matrix
+        # of rank two: the segment [-1, 1] realizes it, the square does not.
+        m = Matrix([[0, 2], [0, 2], [2, 0], [2, 0]])
+        a = Matrix([[1, 1], [1, 1], [1, -1], [1, -1]])
+        b = Matrix([[1, 1], [-1, 1]])
+        h = PolytopeRep("H", 1, ((1, 1), (1, -1)))
+        square = PolytopeRep("V", 2, ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+        segment = PolytopeRep("V", 1, ((1,), (1,), (-1,), (-1,)))
+        h2 = PolytopeRep("H", 2, ((1, 1, 0), (1, -1, 0)))
+        mu = (F(1, 2), F(1, 2))
+        assert slack_of_polytope(square, h2) == m == slack_of_polytope(segment, h)
+        assert verify_yes_certificate(m, YesCertificate(a, b, mu, (segment, h)))
+        assert not verify_yes_certificate(m, YesCertificate(a, b, mu, (square, h2)))
 
 
 class TestReconstructCone:

@@ -27,6 +27,7 @@ def test_random_survey():
     out = run_script("random_survey.py", "--count", "40", "--seed", "0")
     assert out.returncode == 0, out.stderr
     assert "disagreements:       0" in out.stdout
+    assert "invalid certificates: 0" in out.stdout
 
 
 @pytest.mark.parametrize("workload", ["families", "random-cli", "verify-vh"])

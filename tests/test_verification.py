@@ -16,7 +16,12 @@ from slackmat import (
     verify_polytope_equality,
 )
 from slackmat import verification
-from slackmat.polyhedra import facet_inequalities, slack_of_polytope, vertices_of_h_polytope
+from slackmat.polyhedra import (
+    contains_origin_interior,
+    facet_inequalities,
+    slack_of_polytope,
+    vertices_of_h_polytope,
+)
 from slackmat.verification import DIM_MISMATCH, EQUAL, NOT_POINTED, SLACK_REJECT
 
 from golden import (
@@ -196,6 +201,16 @@ class TestLpCount:
     ], ids=["square", "prism"])
     def test_polar_runs_no_lp(self, lp_calls, v, want):
         assert set(polar(v).vectors) == want
+        assert lp_calls == []
+
+    @pytest.mark.parametrize("v, want", [
+        (SQUARE_VERTICES, True),
+        (PRISM_VERTICES, True),
+        (PolytopeRep("V", 2, ((1, 1), (2, 1), (1, 2))), False),
+        (PolytopeRep("V", 2, ((-1, -1), (1, 1))), False),
+    ], ids=["square", "prism", "triangle-off-origin", "segment-through-0"])
+    def test_contains_origin_interior_runs_no_lp(self, lp_calls, v, want):
+        assert contains_origin_interior(v) == want
         assert lp_calls == []
 
     @pytest.fixture
