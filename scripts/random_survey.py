@@ -4,8 +4,10 @@
 Draws random nonnegative matrices (a mix of arbitrary ones and guaranteed
 cone slack products), runs every recognition route on each, checks every
 certificate they produce, and reports acceptance rates plus any cross-route
-disagreement or invalid certificate.  Either would be a bug; the script
-exits nonzero in that case.
+disagreement or invalid certificate.  It then verifies seeded V/H pairs
+(equal, vertex-deleted, facet-deleted and one-facet) against the vertex
+route and checks every rejection's witness.  Any disagreement or invalid
+certificate would be a bug; the script exits nonzero in that case.
 """
 
 import argparse
@@ -25,11 +27,19 @@ from slackmat import (
     is_polytope_slack,
     rcgc_check,
     verify_no_certificate,
+    verify_polytope_equality,
     verify_yes_certificate,
 )
 from slackmat.matrix import rank
+from slackmat.polyhedra import slack_of_polytope, vertices_of_h_polytope
 
-from randgen import random_nonneg_matrix, random_slack_like_matrix, rng
+from randgen import (
+    on_facet,
+    random_nonneg_matrix,
+    random_slack_like_matrix,
+    rng,
+    verification_inputs,
+)
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,7 @@ def survey(cfg: SurveyConfig) -> int:
                 disagreements += 1
                 print("polytope-route disagreement on %r" % m, file=sys.stderr)
             poly_yes += a
+    pairs, vh_disagreements = verification_survey(r, cfg.count // 4)
     dt = time.time() - t0
     print("matrices:            %d" % cfg.count)
     print("cone slack rate:     %.1f%%" % (100.0 * cone_yes / cfg.count))
@@ -75,8 +86,41 @@ def survey(cfg: SurveyConfig) -> int:
           % (100.0 * poly_yes / max(checked_poly, 1), checked_poly))
     print("disagreements:       %d" % disagreements)
     print("invalid certificates: %d" % invalid)
+    print("verification pairs:  %d" % pairs)
+    print("verification disagreements: %d" % vh_disagreements)
     print("elapsed:             %.2fs" % dt)
-    return 1 if disagreements or invalid else 0
+    return 1 if disagreements or invalid or vh_disagreements else 0
+
+
+def _vertex_route(q, p) -> bool:
+    """P = Q for Q's points all vertices: P is bounded and every vertex of
+    P is a point of Q."""
+    try:
+        return set(vertices_of_h_polytope(p)) <= set(q.vectors)
+    except ValueError:  # unbounded or not pointed
+        return False
+
+
+def verification_survey(r, rounds: int) -> tuple[int, int]:
+    """(pairs, disagreements) over `rounds` rounds of verification_inputs
+    and one one-facet pair each; a disagreement is a verdict the vertex
+    route does not share or a witness verify_no_certificate rejects."""
+    pairs = bad = 0
+    for _ in range(rounds):
+        cases = verification_inputs(r)
+        v, h = cases[0]
+        cases.append((on_facet(v, h, r.randrange(len(h.vectors))), h))
+        for q, p in cases:
+            res = verify_polytope_equality(q, p)
+            ok = res.equal == _vertex_route(q, p)
+            if res.witness is not None:
+                ok &= verify_no_certificate(slack_of_polytope(q, p), res.witness)
+            if not ok:
+                bad += 1
+                print("verification disagreement (%s) on %r, %r"
+                      % (res.reason, q, p), file=sys.stderr)
+            pairs += 1
+    return pairs, bad
 
 
 def main():

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -254,39 +255,43 @@ def slack_of_cone(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _slack_numerators(v: PolytopeRep, h: PolytopeRep):
-    """Per point, the slack row as (numerator, denominator) int pairs."""
+    """Per point, the slack row cleared to (ints, d) with d > 0."""
     if v.form != "V" or h.form != "H":
         raise ValueError("need a V-form polytope and an H-form polytope")
     if v.ambient_dim != h.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    # With (beta, a) = (B, A) / dh and v = P / dp in integers, the slack is
-    # (B dp - A.P) / (dh dp), so its sign is that of the numerator.
-    ineqs = [(row[0], row[1:], dh) for row, dh in map(integer_vec, h.vectors)]
-    for pt in v.points():
-        p, dp = integer_vec(pt)
-        nums = [(beta * dp - sum(map(mul, a, p)), dh * dp) for beta, a, dh in ineqs]
-        if any(x < 0 for x, _ in nums):
+    return _slack_ints(map(integer_vec, v.vectors), [integer_vec(r) for r in h.vectors])
+
+
+def _slack_ints(points, rows):
+    """`_slack_numerators` of points and H rows already cleared to (ints, d)."""
+    # Over the lcm L of the rows' d, (beta, a) = (B, A) / L in integers, and
+    # with v = P / dp the slack is (B, A).(dp, -P) / (L dp).
+    big = lcm(*(d for _, d in rows))
+    ineqs = [[x * (big // d) for x in row] for row, d in rows]
+    for p, dp in points:
+        w = (dp,) + tuple([-x for x in p])
+        nums = tuple([sum(map(mul, row, w)) for row in ineqs])
+        if any(x < 0 for x in nums):
             raise ValueError("points are not contained in the H-polytope")
-        yield nums
+        yield nums, big * dp
 
 
 def slack_of_polytope(v: PolytopeRep, h: PolytopeRep) -> Matrix:
     """S_ij = beta_j - a_j . v_i; a negative entry means v is not inside h."""
-    rows = [[Fraction(x, d) for x, d in nums] for nums in _slack_numerators(v, h)]
+    rows = [[Fraction(x, d) for x in nums] for nums, d in _slack_numerators(v, h)]
     return Matrix(rows, cols=len(h.vectors))
 
 
 def _table_is_scaled(slack, rows: Sequence[tuple[Sequence[int], int]],
                      scale: Fraction) -> bool:
-    """Whether a slack table, rows of (numerator, denominator) int pairs as
-    `_slack_numerators` yields them, is scale times the matrix whose rows
-    are given cleared, as (ints, d) pairs like `integer_vec`'s, decided by
-    cross-multiplying ints."""
+    """Whether a slack table, cleared rows as `_slack_numerators` yields
+    them, is scale times the matrix whose rows are given cleared, as
+    (ints, d) pairs like `integer_vec`'s, decided by cross-multiplying ints."""
     s, t = scale.numerator, scale.denominator
     return len(slack) == len(rows) and all(
-        len(nums) == len(row) and all(
-            x * t * e == s * y * d for (x, d), y in zip(nums, row))
-        for nums, (row, e) in zip(slack, rows))
+        len(nums) == len(row) and all(x * t * e == s * y * d for x, y in zip(nums, row))
+        for (nums, d), (row, e) in zip(slack, rows))
 
 
 def _h_polytope_constraints(h: PolytopeRep) -> list[Constraint]:
@@ -326,11 +331,9 @@ def dimension(rep: ConeRep | PolytopeRep) -> int:
             return rank(m)
         constraints = [Constraint(b, lp.GE, 0) for b in rep.vectors]
     elif rep.form == "V":
-        pts = rep.points()
-        if not pts:
+        if not rep.vectors:
             raise ValueError("empty V-polytope")
-        diffs = [vsub(p, pts[0]) for p in pts[1:]]
-        return rank(Matrix(diffs, cols=n))
+        return rank(Matrix([(1,) + p for p in rep.vectors], cols=n + 1)) - 1
     else:
         constraints = _h_polytope_constraints(rep)
     # Maximize a common slack t <= 1 added to every inequality: t* < 0 means

@@ -122,8 +122,11 @@ class _Echelon(NamedTuple):
 
 def _eliminate(m: Matrix) -> _Echelon:
     _require_nonnegative(m)
-    q = m.cols
-    rows = tuple(integer_vec(r) for r in m.data)
+    return _eliminate_rows(tuple(integer_vec(r) for r in m.data), m.cols)
+
+
+def _eliminate_rows(rows: tuple, q: int) -> _Echelon:
+    """`_eliminate` of M's q columns given cleared: any (ints, d) rows of it."""
     ech, pivots = _echelon([primitive(r + (d,)) for r, d in rows], q + 1)
     spans = q not in pivots
     pivots = pivots if spans else pivots[:-1]
@@ -238,21 +241,25 @@ def is_cone_slack(m: Matrix) -> RecognitionResult:
     return ccgc_check(m)
 
 
-def _polytope_verdict(m: Matrix) -> tuple[_Echelon, Optional[NoCertificate]]:
-    """The polytope verdict alone: (e, no), the elimination of [M | 1] and
-    the NO certificate, or None.  The DD runs only past the rank and span
-    tests."""
-    e, _ = _recognized(m, ccgc=False)
+def _polytope_no(e: _Echelon, ccgc=_unmatched) -> Optional[NoCertificate]:
+    """The polytope NO certificate of the matrix eliminated in e, or None.
+    The CCGC, ccgc(e), is decided only past the rank and span tests."""
     if len(e.pivots) < 2:
-        return e, NoCertificate(RANK_TOO_SMALL)
+        return NoCertificate(RANK_TOO_SMALL)
     if e.c is None:
         # z m = 0 iff z a = 0; the rows of a^T are m's pivot columns.
         cols, _ = _columns(e.rows)
         at = [primitive(cols[j]) for j in e.pivots]
-        z = next(z for z in _kernel_basis(*_echelon(at, m.rows), m.rows)
-                 if sum(z) != 0)
-        return e, NoCertificate(ONES_NOT_IN_SPAN, witness=z)
-    return _recognized(m)
+        p = len(e.rows)
+        z = next(z for z in _kernel_basis(*_echelon(at, p), p) if sum(z) != 0)
+        return NoCertificate(ONES_NOT_IN_SPAN, witness=z)
+    return ccgc(e)
+
+
+def _polytope_verdict(m: Matrix) -> tuple[_Echelon, Optional[NoCertificate]]:
+    """(e, no): m's elimination and `_polytope_no`, kept by `_recognized`."""
+    e, _ = _recognized(m, ccgc=False)
+    return e, _polytope_no(e, lambda e: _recognized(m)[1])
 
 
 def is_polytope_slack(m: Matrix) -> RecognitionResult:

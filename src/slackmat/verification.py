@@ -1,20 +1,20 @@
 """Polyhedral verification: does a V-polytope equal an H-polyhedron that
-contains it?  Decided through slack-matrix recognition."""
+contains it?  Decided by slack-matrix recognition on the inputs cleared to ints."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix import Matrix, rank
+from .matrix import Matrix, _echelon, integer_vec, primitive, rank
 from .polyhedra import (
     PolytopeRep,
     _h_polytope_constraints,
     _implicit_equalities,
-    dimension,
+    _slack_ints,
     slack_of_polytope,
 )
-from .recognition import NoCertificate, _polytope_verdict
+from .recognition import NoCertificate, _eliminate_rows, _polytope_no
 
 EQUAL = "equal"
 NOT_POINTED = "not_pointed"
@@ -48,7 +48,8 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
     Stages: P must be pointed (trivial right kernel of the inequality
     normals), dimensions must agree, and the matrix of slacks of Q's points
     in P's inequalities must be a polytope slack matrix.  A failure at any
-    stage proves P != Q.
+    stage proves P != Q.  All of it runs on P's rows and Q's points cleared
+    to ints once; dim Q is one less than the rank of Q's lifted points.
 
     dim P is n minus the rank of P's implicit equalities, the inequalities
     tight on all of P.  Since Q lies in P, such an inequality is tight at
@@ -60,20 +61,24 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
     """
     if q.form != "V" or p.form != "H":
         raise ValueError("need a V-polytope and an H-polyhedron")
-    m = slack_of_polytope(q, p)  # raises when Q is not inside P
+    if q.ambient_dim != p.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    pts, rows = [integer_vec(v) for v in q.vectors], [integer_vec(r) for r in p.vectors]
+    slack = tuple(_slack_ints(pts, rows))  # raises when Q is not inside P
     n = p.ambient_dim
-    w = Matrix([a for _, a in p.inequalities()], cols=n)
-    if rank(w) < n:
+    if len(_echelon([primitive(r[1:]) for r, _ in rows], n)[1]) < n:
         return VerificationResult(False, NOT_POINTED)
-    dim_q = dimension(q)
-    zero = [j for j, col in enumerate(zip(*m.data)) if not any(col)]
-    eqs = _implicit_equalities(_h_polytope_constraints(p), zero)
+    if not pts:
+        raise ValueError("empty V-polytope")
+    dim_q = len(_echelon([primitive((d,) + r) for r, d in pts], n + 1)[1]) - 1
+    zero = [j for j, col in enumerate(zip(*(r for r, _ in slack))) if not any(col)]
+    eqs = _implicit_equalities(_h_polytope_constraints(p), zero) if zero else []
     dim_p = n - rank(Matrix(eqs, cols=n))
     if dim_q != dim_p:
         return VerificationResult(False, DIM_MISMATCH, dims=(dim_q, dim_p))
     if dim_q == 0:
         return VerificationResult(True, EQUAL)  # two single points, Q in P
-    _, no = _polytope_verdict(m)
+    no = _polytope_no(_eliminate_rows(slack, len(rows)))
     if no:
         return VerificationResult(False, SLACK_REJECT, witness=no)
     return VerificationResult(True, EQUAL)

@@ -1,5 +1,6 @@
 """Seeded random generators shared by the property and acceptance tests."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -183,3 +184,66 @@ def verification_inputs(r):
     fewer_v = PolytopeRep("V", n, v.vectors[:i] + v.vectors[i + 1:])
     fewer_h = PolytopeRep("H", n, h.vectors[:j] + h.vectors[j + 1:])
     return [(v, h), (fewer_v, h), (v, fewer_h)]
+
+
+def embed(q, p):
+    """Q and P in R^(n+1) at z = 0, with P stating z = 0 as z <= 0, -z <= 0."""
+    n = q.ambient_dim
+    q1 = PolytopeRep("V", n + 1, tuple(tuple(v) + (0,) for v in q.vectors))
+    rows = tuple(tuple(h) + (0,) for h in p.vectors)
+    z = (0,) * (n + 1)
+    p1 = PolytopeRep("H", n + 1, rows + (z + (1,), z + (-1,)))
+    return q1, p1
+
+
+def on_facet(q, p, j):
+    """The points of Q on the j-th inequality of P."""
+    s = slack_of_polytope(q, p)
+    return PolytopeRep("V", q.ambient_dim,
+                       tuple(v for v, row in zip(q.vectors, s.data) if row[j] == 0))
+
+
+def edge(q, p):
+    """Two vertices of Q joined by an edge of P = conv(Q)."""
+    s = slack_of_polytope(q, p)
+    n = q.ambient_dim
+    for i, k in itertools.combinations(range(len(q.vectors)), 2):
+        tight = [p.vectors[j][1:] for j in range(s.cols)
+                 if s.data[i][j] == 0 and s.data[k][j] == 0]
+        if rank(Matrix(tight, cols=n)) == n - 1:
+            return PolytopeRep("V", n, (q.vectors[i], q.vectors[k]))
+    raise AssertionError("no edge found")
+
+
+def verification_variants(r):
+    """(V-polytope, H-polyhedron) pairs of one random polytope beyond
+    `verification_inputs`: Q on one facet, in P and embedded in R^(n+1);
+    Q one vertex, in P and in P cut down to it by equality pairs;
+    P with a free direction; P's rows rescaled by random positive
+    rationals, with a duplicate and a redundant row, against Q with a
+    duplicate point, its centroid and an edge midpoint added, and with a
+    vertex or a facet deleted."""
+    v, h = random_polytope(r, max_dim=3, max_vertices=7)
+    n, pts, rows = v.ambient_dim, v.vectors, h.vectors
+    s = slack_of_polytope(v, h)
+    i, j, k = (r.randrange(len(pts)), r.randrange(len(rows)),
+               r.randrange(len(rows)))
+    facet = on_facet(v, h, j)
+    vertex = PolytopeRep("V", n, pts[i:i + 1])
+    pinned = PolytopeRep("H", n, tuple(
+        row for row, x in zip(rows, s.data[i]) if x == 0
+        for row in (row, tuple(-y for y in row))))
+    free = PolytopeRep("H", n + 1, tuple(row + (0,) for row in rows))
+    scales = [F(r.randint(1, 9), r.randint(1, 9)) for _ in rows]
+    scaled = tuple(tuple(c * y for y in row) for c, row in zip(scales, rows))
+    messy_h = scaled + (scaled[k], (scaled[k][0] + 1,) + scaled[k][1:])
+    a, b = edge(v, h).vectors
+    extra = (tuple(sum(col) / len(pts) for col in zip(*pts)),
+             tuple((x + y) / 2 for x, y in zip(a, b)), pts[i])
+    return [
+        (facet, h), embed(facet, h), (vertex, h), (vertex, pinned),
+        (PolytopeRep("V", n + 1, tuple(x + (0,) for x in pts)), free),
+        (PolytopeRep("V", n, pts + extra), PolytopeRep("H", n, messy_h)),
+        (PolytopeRep("V", n, pts[:i] + pts[i + 1:]), PolytopeRep("H", n, messy_h)),
+        (v, PolytopeRep("H", n, scaled[:j] + scaled[j + 1:])),
+    ]

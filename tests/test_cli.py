@@ -169,10 +169,15 @@ class TestInputErrors:
          "not a representation pair: negative slack entry"),
         ("verify", {"--vrep": PolytopeRep("V", 2, ((2, 0),)), "--hrep": SQUARE_FACETS},
          "points are not contained in the H-polytope"),
+        ("verify", {"--vrep": PolytopeRep("V", 2, ()), "--hrep": SQUARE_FACETS},
+         "empty V-polytope"),
+        ("verify", {"--vrep": PolytopeRep("V", 3, ((0, 0, 0),)), "--hrep": SQUARE_FACETS},
+         "ambient dimension mismatch"),
         ("incidence", {None: NEGATIVE_3X3}, "matrix has a negative entry"),
         ("polygon-check", {None: NEGATIVE_3X3}, "matrix has a negative entry"),
         ("polar-realize", {None: PRISM}, "transpose is not a polytope slack matrix"),
-    ], ids=["slack", "verify", "incidence", "polygon-check", "polar-realize"])
+    ], ids=["slack", "verify", "verify-empty-q", "verify-dimensions", "incidence",
+            "polygon-check", "polar-realize"])
     def test_library_error_is_one_error_line(self, tmp_path, capsys, command, inputs, message):
         argv = [command]
         for i, (flag, payload) in enumerate(inputs.items()):
@@ -237,6 +242,17 @@ class TestVerify:
                        PolytopeRep("H", 1, ((0, 1), (0, -1))))
         assert run(["verify", "--vrep", fv, "--hrep", fh]) == 0
         assert capsys.readouterr().out.strip() == "VERIFY equal"
+
+    @pytest.mark.parametrize("q, p, code, out", [
+        (PolytopeRep("V", 2, ((0, 0),)), PolytopeRep("H", 2, ()), 1,
+         "VERIFY not-equal reason=not_pointed"),
+        (PolytopeRep("V", 0, ((),)), PolytopeRep("H", 0, ()), 0, "VERIFY equal"),
+    ], ids=["no-rows-R2", "point-R0"])
+    def test_no_inequalities(self, tmp_path, capsys, q, p, code, out):
+        fv = write_doc(tmp_path / "q.ext", q)
+        fh = write_doc(tmp_path / "p.ine", p)
+        assert run(["verify", "--vrep", fv, "--hrep", fh]) == code
+        assert capsys.readouterr().out == out + "\n"
 
     def test_missing_vertex(self, tmp_path, capsys):
         from slackmat import PolytopeRep

@@ -55,6 +55,7 @@ from randgen import (
     recognition_inputs,
     rng,
     verification_inputs,
+    verification_variants,
 )
 from golden import (
     COUNTEREXAMPLE,
@@ -822,16 +823,33 @@ class TestIntegerCore:
         reasons = set()
         for _ in range(120):
             for q, p in verification_inputs(r):
-                got = verify_polytope_equality(q, p)
-                want = verify_equality_fraction_reference(q, p)
-                assert (got.equal, got.reason, got.dims) == (want.equal, want.reason, want.dims)
-                if want.witness is None:
-                    assert got.witness is None
-                else:
-                    assert (serialize(document_for(got.witness))
-                            == serialize(document_for(want.witness)))
-                reasons.add(got.reason)
+                reasons.add(_same_verification(q, p))
         assert reasons == {"equal", "slack_reject", "dim_mismatch"}
+
+    def test_verification_variants_identical_to_fraction_route(self):
+        # Lower-dimensional and single-point Q, equality pairs, a free
+        # direction, mixed denominators and redundant points and rows.
+        r = rng(14)
+        reasons, pairs = set(), 0
+        while pairs < 1000:
+            for q, p in verification_variants(r):
+                reasons.add(_same_verification(q, p))
+                pairs += 1
+        assert reasons == {"equal", "slack_reject", "dim_mismatch", "not_pointed"}
+
+
+def _same_verification(q, p):
+    """verify_polytope_equality(q, p) equals the Fraction route's answer,
+    witness text included; returns the reason."""
+    got = verify_polytope_equality(q, p)
+    want = verify_equality_fraction_reference(q, p)
+    assert (got.equal, got.reason, got.dims) == (want.equal, want.reason, want.dims)
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert (serialize(document_for(got.witness))
+                == serialize(document_for(want.witness)))
+    return got.reason
 
 
 def _answers(m, questions):

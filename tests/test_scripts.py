@@ -28,6 +28,8 @@ def test_random_survey():
     assert out.returncode == 0, out.stderr
     assert "disagreements:       0" in out.stdout
     assert "invalid certificates: 0" in out.stdout
+    assert "verification pairs:  40" in out.stdout
+    assert "verification disagreements: 0" in out.stdout
 
 
 @pytest.mark.parametrize("workload", ["families", "random-cli", "verify-vh"])

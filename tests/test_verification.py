@@ -15,7 +15,7 @@ from slackmat import (
     verify_no_certificate,
     verify_polytope_equality,
 )
-from slackmat import verification
+from slackmat import polyhedra, recognition, verification
 from slackmat.polyhedra import (
     contains_origin_interior,
     facet_inequalities,
@@ -31,7 +31,7 @@ from golden import (
     SQUARE_FACETS,
     SQUARE_VERTICES,
 )
-from randgen import random_polytope, rng
+from randgen import edge, embed, on_facet, random_polytope, rng
 
 
 class TestContainment:
@@ -94,6 +94,15 @@ class TestVerifyEquality:
         res = verify_polytope_equality(q, p)
         assert res.equal and res.reason == EQUAL
 
+    def test_no_inequalities_in_r2_not_pointed(self):
+        res = verify_polytope_equality(PolytopeRep("V", 2, ((0, 0),)),
+                                       PolytopeRep("H", 2, ()))
+        assert (res.equal, res.reason) == (False, NOT_POINTED)
+
+    def test_ambient_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+            verify_polytope_equality(PolytopeRep("V", 3, ((0, 0, 0),)), SQUARE_FACETS)
+
     def test_containment_violation_raises(self):
         q = PolytopeRep("V", 2, ((3, 0),))
         with pytest.raises(ValueError):
@@ -132,23 +141,6 @@ SOLIDS = pytest.mark.parametrize("q, p", [
     (PRISM_VERTICES, PRISM_FACETS),
     (CUBE3_VERTICES, CUBE3_FACETS),
 ], ids=["prism", "cube3"])
-
-
-def embed(q, p):
-    """Q and P in R^(n+1) at z = 0, with P stating z = 0 as z <= 0, -z <= 0."""
-    n = q.ambient_dim
-    q1 = PolytopeRep("V", n + 1, tuple(tuple(v) + (0,) for v in q.vectors))
-    rows = tuple(tuple(h) + (0,) for h in p.vectors)
-    z = (0,) * (n + 1)
-    p1 = PolytopeRep("H", n + 1, rows + (z + (1,), z + (-1,)))
-    return q1, p1
-
-
-def on_facet(q, p, j):
-    """The points of Q on the j-th inequality of P."""
-    s = slack_of_polytope(q, p)
-    return PolytopeRep("V", q.ambient_dim,
-                       tuple(v for v, row in zip(q.vectors, s.data) if row[j] == 0))
 
 
 class TestLpCount:
@@ -240,16 +232,44 @@ class TestLpCount:
         assert tight_rows == [zero] == [want]
 
 
-def _edge(q, p):
-    """Two vertices of Q joined by an edge of P = conv(Q)."""
-    s = slack_of_polytope(q, p)
-    n = q.ambient_dim
-    for i, k in itertools.combinations(range(len(q.vectors)), 2):
-        tight = [p.vectors[j][1:] for j in range(s.cols)
-                 if s.data[i][j] == 0 and s.data[k][j] == 0]
-        if rank(Matrix(tight, cols=n)) == n - 1:
-            return PolytopeRep("V", n, (q.vectors[i], q.vectors[k]))
-    raise AssertionError("no edge found")
+class TestIntegerRoute:
+    """Verification clears P and Q to ints once: it forms no Fraction slack
+    matrix, runs no dimension() and no Matrix-level elimination, and builds
+    LP constraints only when the slack table has a zero column."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        targets = (polyhedra.slack_of_polytope, polyhedra.dimension,
+                   recognition._eliminate, polyhedra._h_polytope_constraints)
+        counts = {f.__name__: 0 for f in targets}
+        for target in targets:
+            def counting(*args, _f=target, **kwargs):
+                counts[_f.__name__] += 1
+                return _f(*args, **kwargs)
+
+            for name, mod in list(sys.modules.items()):
+                if name == "slackmat" or name.startswith("slackmat."):
+                    for attr, value in list(vars(mod).items()):
+                        if value is target:
+                            monkeypatch.setattr(mod, attr, counting)
+        return counts
+
+    @SOLIDS
+    def test_no_zero_column(self, calls, q, p):
+        for qq, pp in ((q, p), (PolytopeRep("V", 3, q.vectors[1:]), p),
+                       (q, PolytopeRep("H", 3, p.vectors[1:]))):
+            verify_polytope_equality(qq, pp)
+        assert set(calls.values()) == {0}
+
+    @pytest.mark.parametrize("q, p", [
+        (on_facet(PRISM_VERTICES, PRISM_FACETS, 0), PRISM_FACETS),
+        embed(SQUARE_VERTICES, SQUARE_FACETS),
+        (PolytopeRep("V", 1, ((0,),)), PolytopeRep("H", 1, ((0, 1), (0, -1)))),
+    ], ids=["prism-one-facet", "square-embedded", "point-R1"])
+    def test_zero_columns_build_constraints_once(self, calls, q, p):
+        verify_polytope_equality(q, p)
+        assert calls == {"slack_of_polytope": 0, "dimension": 0,
+                         "_eliminate": 0, "_h_polytope_constraints": 1}
 
 
 class TestMatchesGenericRoute:
@@ -261,7 +281,7 @@ class TestMatchesGenericRoute:
         yield v
         yield PolytopeRep("V", n, v.vectors[1:])
         yield on_facet(v, h, 0)
-        yield _edge(v, h)
+        yield edge(v, h)
         yield PolytopeRep("V", n, v.vectors[:1])
 
     def test_random_faces_and_embeddings(self):
@@ -285,5 +305,5 @@ class TestMatchesGenericRoute:
                         assert res.equal == (set(q.vectors) == set(v.vectors))
 
     def test_empty_q_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty V-polytope$"):
             verify_polytope_equality(PolytopeRep("V", 2, ()), SQUARE_FACETS)
