@@ -66,7 +66,7 @@ def _emit(args, line: str) -> None:
 
 def _save_certificate(args, cert, *outputs) -> None:
     """Write the certificate, when asked for, ahead of the other outputs."""
-    if getattr(args, "certificate", None):
+    if args.certificate:
         outputs = ((args.certificate, cert),) + outputs
     _write(*outputs)
 

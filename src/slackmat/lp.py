@@ -88,16 +88,10 @@ def _pivot(tab: list[list[Fraction]], obj: list[Fraction], r: int, j: int,
     basis[r] = j
 
 
-def _simplex(tab: list[list[Fraction]], obj: list[Fraction], basis: list[int],
-             allowed: Sequence[bool]) -> str:
+def _simplex(tab: list[list[Fraction]], obj: list[Fraction], basis: list[int]) -> str:
     """Minimize; `obj` is the reduced-cost row (last entry = -value)."""
-    ncols = len(obj) - 1
     while True:
-        enter = None
-        for j in range(ncols):
-            if allowed[j] and obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j, x in enumerate(obj[:-1]) if x < 0), None)
         if enter is None:
             return OPTIMAL
         leave = None
@@ -159,8 +153,7 @@ def lp_solve(objective: Sequence, constraints: Sequence[Constraint],
     obj = cost1 + [Fraction(0)]
     for i in range(m):
         obj = [x - y for x, y in zip(obj, tab[i])]
-    allowed = [True] * ncols
-    _simplex(tab, obj, basis, allowed)
+    _simplex(tab, obj, basis)
     if -obj[-1] > 0:
         # y_i = 1 - reduced cost of artificial i; map back to the input rows.
         y = [Fraction(1) - obj[nstruct + i] for i in range(m)]
@@ -180,9 +173,10 @@ def lp_solve(objective: Sequence, constraints: Sequence[Constraint],
         del tab[r]
         del basis[r]
 
-    # Phase 2.
+    # Phase 2, on the structural columns: no artificial is basic any more.
+    tab = [row[:nstruct] + row[-1:] for row in tab]
     sign = Fraction(-1) if sense == "max" else Fraction(1)
-    cost2 = [Fraction(0)] * (ncols + 1)
+    cost2 = [Fraction(0)] * (nstruct + 1)
     for k in range(n):
         cost2[k] = sign * c[k]
         cost2[n + k] = -sign * c[k]
@@ -191,11 +185,9 @@ def lp_solve(objective: Sequence, constraints: Sequence[Constraint],
         if cost2[bi] != 0:
             f = cost2[bi]
             obj = [x - f * y for x, y in zip(obj, tab[r])]
-    allowed = [j < nstruct for j in range(ncols)]
-    status = _simplex(tab, obj, basis, allowed)
-    if status == UNBOUNDED:
+    if _simplex(tab, obj, basis) == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
-    z = [Fraction(0)] * ncols
+    z = [Fraction(0)] * nstruct
     for r, bi in enumerate(basis):
         z[bi] = tab[r][-1]
     point = vec([z[k] - z[n + k] for k in range(n)])

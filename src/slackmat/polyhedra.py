@@ -300,7 +300,7 @@ def _h_polytope_constraints(h: PolytopeRep) -> list[Constraint]:
 
 def _implicit_equalities(constraints: list[Constraint],
                          tight: Sequence[int]) -> list[Vec]:
-    """Normals of the inequalities that are tight on the whole feasible set.
+    """Normals of the rows a.x <= beta that are tight on the whole feasible set.
 
     `tight` indexes the rows tight at some known feasible points; a row with
     slack at a feasible point is not tight on the whole set, so only these
@@ -310,14 +310,12 @@ def _implicit_equalities(constraints: list[Constraint],
     normals = []
     for ci in (constraints[i] for i in tight):
         # Maximize the slack of row i; cap it at 1 to keep the LP bounded.
-        sign = Fraction(-1) if ci.rel == lp.LE else Fraction(1)
-        slack_obj = vscale(sign, ci.coeffs)
-        shift = -sign * ci.rhs
-        capped = constraints + [Constraint(slack_obj, lp.LE, 1 - shift)]
+        slack_obj = vscale(Fraction(-1), ci.coeffs)
+        capped = constraints + [Constraint(slack_obj, lp.LE, 1 - ci.rhs)]
         out = lp.lp_solve(slack_obj, capped, sense="max")
         # The cap can cut away the whole feasible set when the slack is
         # bounded below by more than one; such a row is certainly not tight.
-        if out.status == lp.OPTIMAL and out.value + shift == 0:
+        if out.status == lp.OPTIMAL and out.value + ci.rhs == 0:
             normals.append(ci.coeffs)
     return normals
 
@@ -329,18 +327,18 @@ def dimension(rep: ConeRep | PolytopeRep) -> int:
         if rep.form == "V":
             m = Matrix(rep.vectors + rep.lineality, cols=n)
             return rank(m)
-        constraints = [Constraint(b, lp.GE, 0) for b in rep.vectors]
+        constraints = [Constraint(vscale(Fraction(-1), b), lp.LE, 0)
+                       for b in rep.vectors]
     elif rep.form == "V":
         if not rep.vectors:
             raise ValueError("empty V-polytope")
         return rank(Matrix([(1,) + p for p in rep.vectors], cols=n + 1)) - 1
     else:
         constraints = _h_polytope_constraints(rep)
-    # Maximize a common slack t <= 1 added to every inequality: t* < 0 means
-    # no point, t* > 0 an interior point, and at t* = 0 the rows with slack
-    # at the optimum are not implicit equalities.
-    widened = [Constraint(ci.coeffs + (1 if ci.rel == lp.LE else -1,),
-                          ci.rel, ci.rhs) for ci in constraints]
+    # Maximize a common slack t <= 1 added to every row a.x <= beta: t* < 0
+    # means no point, t* > 0 an interior point, and at t* = 0 the rows with
+    # slack at the optimum are not implicit equalities.
+    widened = [Constraint(ci.coeffs + (1,), lp.LE, ci.rhs) for ci in constraints]
     widened.append(Constraint(unit(n + 1, n), lp.LE, 1))
     out = lp.lp_solve(unit(n + 1, n), widened, sense="max")
     if out.value < 0:

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .matrix import (
     Matrix,
@@ -110,14 +111,34 @@ def _require_nonnegative(m: Matrix) -> None:
         raise ValueError("matrix has a negative entry")
 
 
-class _Echelon(NamedTuple):
-    """One fraction-free elimination of [M | 1]."""
+@dataclass(frozen=True)
+class _Echelon:
+    """One fraction-free elimination of [M | 1], which decides M's CCGC at
+    most once (`unmatched`)."""
 
     rows: tuple  # M's rows cleared once: (ints, d), row i of M is ints / d
     pivots: tuple  # M's pivot columns; A is M on them, and M = A B
     b: tuple  # B, the RREF of M less its zero rows, is b / den in ints
     c: Optional[tuple]  # A c = 1 for c / den; None if 1 is not in the span
     den: int
+
+    @cached_property
+    def unmatched(self) -> Optional[NoCertificate]:
+        """The CCGC of M = A B: None, or the certificate refuting it."""
+        # A is injective, so the cone is pointed and its extreme rays are _dd's
+        # primitive int rays, each equal to a primitive column iff a positive
+        # multiple of it.  The first unmatched ray in canonical order is refuted.
+        a = [[r[j] for j in self.pivots] for r, _ in self.rows]
+        rays, _ = _dd([primitive(r) for r in a], len(self.pivots))
+        columns = {primitive(c) for c in zip(*self.b) if any(c)}
+        unmatched = [y for y, _ in rays if y not in columns]
+        if not unmatched:
+            return None
+        y = min(unmatched, key=canonical_ray)
+        x = canonical_ray([Fraction(sum(map(mul, r, y)), d)
+                           for r, (_, d) in zip(a, self.rows)])
+        return NoCertificate(UNMATCHED_RAY, "column", x,
+                             _separator(_columns(self.rows)[0], x))
 
 
 def _eliminate(m: Matrix) -> _Echelon:
@@ -163,25 +184,6 @@ def _separator(columns, x: Vec) -> Vec:
     return tuple(Fraction(ed * (pi == 0) - en * pi, ed) for pi in p)
 
 
-def _unmatched(e: _Echelon) -> Optional[NoCertificate]:
-    """The CCGC of M = A B: None, or the certificate refuting it."""
-    # A is injective, so the cone is pointed and its extreme rays are _dd's
-    # primitive int rays, each equal to a primitive column iff a positive
-    # multiple of it.  The first unmatched ray in canonical order is refuted.
-    a = [[r[j] for j in e.pivots] for r, _ in e.rows]
-    rays, _ = _dd([primitive(r) for r in a], len(e.pivots))
-    columns = {primitive(c) for c in zip(*e.b) if any(c)}
-    unmatched = [y for y, _ in rays if y not in columns]
-    if not unmatched:
-        return None
-    y = min(unmatched, key=canonical_ray)
-    x = canonical_ray([Fraction(sum(map(mul, r, y)), d)
-                       for r, (_, d) in zip(a, e.rows)])
-    return NoCertificate(UNMATCHED_RAY, "column", x,
-                         _separator(_columns(e.rows)[0], x))
-
-
-_UNKNOWN = object()
 _last: Optional[tuple] = None
 
 
@@ -191,17 +193,14 @@ def _forget(ref) -> None:
         _last = None
 
 
-def _recognized(m: Matrix, ccgc: bool = True):
-    """(e, no): m's elimination and, if ccgc, its CCGC outcome (_unmatched),
-    kept in one entry for the last Matrix recognized: (weakref, e, no or
-    _UNKNOWN), keyed by identity, replaced whole, dropped when m dies."""
+def _recognized(m: Matrix) -> _Echelon:
+    """m's elimination, kept in one entry for the last Matrix recognized:
+    (weakref, e), keyed by identity, replaced whole, dropped when m dies.
+    The entry keeps e's CCGC outcome once it is decided."""
     global _last
-    entry = _last
-    ref, e, no = entry if entry and entry[0]() is m else (
-        weakref.ref(m, _forget), _eliminate(m), _UNKNOWN)
-    no = _unmatched(e) if ccgc and no is _UNKNOWN else no
-    _last = (ref, e, no)
-    return e, no
+    if _last is None or _last[0]() is not m:
+        _last = (weakref.ref(m, _forget), _eliminate(m))
+    return _last[1]
 
 
 def ccgc_check(m: Matrix) -> RecognitionResult:
@@ -213,9 +212,9 @@ def ccgc_check(m: Matrix) -> RecognitionResult:
     is the CCGC in R^p.  An unmatched ray y gives the witness x = a y.
     A second question about the same Matrix object reuses both (_recognized).
     """
-    e, no = _recognized(m)
-    if no:
-        return RecognitionResult(False, KIND_CONE, no)
+    e = _recognized(m)
+    if e.unmatched:
+        return RecognitionResult(False, KIND_CONE, e.unmatched)
     b = Matrix._of(tuple(tuple(Fraction(x, e.den) for x in r) for r in e.b), m.cols)
     cert = YesCertificate(a=m.submatrix(range(m.rows), e.pivots), b=b)
     return RecognitionResult(True, KIND_CONE, cert)
@@ -241,9 +240,9 @@ def is_cone_slack(m: Matrix) -> RecognitionResult:
     return ccgc_check(m)
 
 
-def _polytope_no(e: _Echelon, ccgc=_unmatched) -> Optional[NoCertificate]:
+def _polytope_no(e: _Echelon) -> Optional[NoCertificate]:
     """The polytope NO certificate of the matrix eliminated in e, or None.
-    The CCGC, ccgc(e), is decided only past the rank and span tests."""
+    The CCGC is decided only past the rank and span tests."""
     if len(e.pivots) < 2:
         return NoCertificate(RANK_TOO_SMALL)
     if e.c is None:
@@ -253,13 +252,13 @@ def _polytope_no(e: _Echelon, ccgc=_unmatched) -> Optional[NoCertificate]:
         p = len(e.rows)
         z = next(z for z in _kernel_basis(*_echelon(at, p), p) if sum(z) != 0)
         return NoCertificate(ONES_NOT_IN_SPAN, witness=z)
-    return ccgc(e)
+    return e.unmatched
 
 
 def _polytope_verdict(m: Matrix) -> tuple[_Echelon, Optional[NoCertificate]]:
-    """(e, no): m's elimination and `_polytope_no`, kept by `_recognized`."""
-    e, _ = _recognized(m, ccgc=False)
-    return e, _polytope_no(e, lambda e: _recognized(m)[1])
+    """(e, no): m's elimination, kept by `_recognized`, and `_polytope_no`."""
+    e = _recognized(m)
+    return e, _polytope_no(e)
 
 
 def is_polytope_slack(m: Matrix) -> RecognitionResult:

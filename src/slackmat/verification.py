@@ -65,11 +65,11 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
         raise ValueError("ambient dimension mismatch")
     pts, rows = [integer_vec(v) for v in q.vectors], [integer_vec(r) for r in p.vectors]
     slack = tuple(_slack_ints(pts, rows))  # raises when Q is not inside P
+    if not pts:
+        raise ValueError("empty V-polytope")
     n = p.ambient_dim
     if len(_echelon([primitive(r[1:]) for r, _ in rows], n)[1]) < n:
         return VerificationResult(False, NOT_POINTED)
-    if not pts:
-        raise ValueError("empty V-polytope")
     dim_q = len(_echelon([primitive((d,) + r) for r, d in pts], n + 1)[1]) - 1
     zero = [j for j, col in enumerate(zip(*(r for r, _ in slack))) if not any(col)]
     eqs = _implicit_equalities(_h_polytope_constraints(p), zero) if zero else []

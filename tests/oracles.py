@@ -441,9 +441,9 @@ def verify_equality_fraction_reference(q: PolytopeRep, p: PolytopeRep):
         raise ValueError("need a V-polytope and an H-polyhedron")
     m = slack_of_polytope(q, p)
     n = p.ambient_dim
+    dim_q = dimension(q)  # raises on an empty Q, whatever P is
     if rank(Matrix([a for _, a in p.inequalities()], cols=n)) < n:
         return VerificationResult(False, NOT_POINTED)
-    dim_q = dimension(q)
     tight = [j for j, (beta, a) in enumerate(p.inequalities())
              if all(dot(a, x) == beta for x in q.points())]
     eqs = _implicit_equalities(_h_polytope_constraints(p), tight)

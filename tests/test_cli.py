@@ -50,6 +50,12 @@ class TestCheckCommands:
     def test_check_polytope_oracle_agrees(self, prism_file):
         assert run(["check-polytope", prism_file, "--oracle"]) == 0
 
+    def test_check_cone_oracle_agrees(self, prism_file, tmp_path, capsys):
+        assert run(["check-cone", prism_file, "--oracle"]) == 0
+        f = write_doc(tmp_path / "c.matrix", COUNTEREXAMPLE)
+        assert run(["check-cone", f, "--oracle"]) == 1
+        assert capsys.readouterr().err == ""
+
     def test_check_cone_counterexample(self, tmp_path, capsys):
         f = write_doc(tmp_path / "c.matrix", COUNTEREXAMPLE)
         cert = tmp_path / "c.cert"
@@ -167,17 +173,24 @@ class TestInputErrors:
     @pytest.mark.parametrize("command, inputs, message", [
         ("slack", {"--vrep": ConeRep("V", 1, ((1,),)), "--hrep": ConeRep("H", 1, ((-1,),))},
          "not a representation pair: negative slack entry"),
+        ("slack", {"--vrep": ConeRep("V", 2, ((1, 0),)), "--hrep": SQUARE_FACETS},
+         "cone V-rep needs a cone H-rep"),
+        ("slack", {"--vrep": SQUARE_VERTICES, "--hrep": ConeRep("H", 2, ((1, 0),))},
+         "polytope V-rep needs a polytope H-rep"),
         ("verify", {"--vrep": PolytopeRep("V", 2, ((2, 0),)), "--hrep": SQUARE_FACETS},
          "points are not contained in the H-polytope"),
         ("verify", {"--vrep": PolytopeRep("V", 2, ()), "--hrep": SQUARE_FACETS},
+         "empty V-polytope"),
+        ("verify", {"--vrep": PolytopeRep("V", 2, ()), "--hrep": PolytopeRep("H", 2, ())},
          "empty V-polytope"),
         ("verify", {"--vrep": PolytopeRep("V", 3, ((0, 0, 0),)), "--hrep": SQUARE_FACETS},
          "ambient dimension mismatch"),
         ("incidence", {None: NEGATIVE_3X3}, "matrix has a negative entry"),
         ("polygon-check", {None: NEGATIVE_3X3}, "matrix has a negative entry"),
         ("polar-realize", {None: PRISM}, "transpose is not a polytope slack matrix"),
-    ], ids=["slack", "verify", "verify-empty-q", "verify-dimensions", "incidence",
-            "polygon-check", "polar-realize"])
+    ], ids=["slack", "slack-cone-v-poly-h", "slack-poly-v-cone-h", "verify",
+            "verify-empty-q", "verify-empty-q-unpointed-p", "verify-dimensions",
+            "incidence", "polygon-check", "polar-realize"])
     def test_library_error_is_one_error_line(self, tmp_path, capsys, command, inputs, message):
         argv = [command]
         for i, (flag, payload) in enumerate(inputs.items()):
@@ -262,6 +275,30 @@ class TestVerify:
         fh = write_doc(tmp_path / "s.ine", SQUARE_FACETS)
         assert run(["verify", "--vrep", fv, "--hrep", fh]) == 1
         assert "not-equal" in capsys.readouterr().out
+
+    def test_slack_reject_certificate_verifies(self, tmp_path, capsys):
+        fv = write_doc(tmp_path / "s3.ext",
+                       PolytopeRep("V", 2, SQUARE_VERTICES.vectors[:3]))
+        fh = write_doc(tmp_path / "s.ine", SQUARE_FACETS)
+        cert = tmp_path / "s.cert"
+        assert run(["verify", "--vrep", fv, "--hrep", fh,
+                    "--certificate", str(cert)]) == 1
+        assert capsys.readouterr().out == "VERIFY not-equal reason=slack_reject\n"
+        assert cert.read_text().startswith("CERT NO ")
+        assert run(["slack", "--vrep", fv, "--hrep", fh]) == 0
+        m = tmp_path / "s.matrix"
+        m.write_text(capsys.readouterr().out)
+        assert run(["verify-cert", str(m), str(cert)]) == 0
+        assert capsys.readouterr().out == "CERT valid\n"
+
+    def test_equal_pair_writes_no_certificate(self, tmp_path, capsys):
+        fv = write_doc(tmp_path / "s.ext", SQUARE_VERTICES)
+        fh = write_doc(tmp_path / "s.ine", SQUARE_FACETS)
+        cert = tmp_path / "s.cert"
+        assert run(["verify", "--vrep", fv, "--hrep", fh,
+                    "--certificate", str(cert)]) == 0
+        assert capsys.readouterr().out == "VERIFY equal\n"
+        assert not cert.exists()
 
     def test_point_past_header_count_is_input_error(self, tmp_path, capsys):
         # The fourth vertex would make the pair equal if it were read.

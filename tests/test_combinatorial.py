@@ -72,6 +72,19 @@ class TestPolygonSlackCheck:
         ])
         assert not polygon_slack_check(m)
 
+    def test_row_without_two_zeros_rejected(self):
+        # The square [0, 2]^2 with the vertex (2, 2) moved to (1, 1): the rows
+        # (x, y, 2 - x, 2 - y) keep affine rank 2, and row 2 has no zero.
+        m = Matrix([[0, 0, 2, 2], [2, 0, 0, 2], [1, 1, 1, 1], [0, 2, 2, 0]])
+        assert not polygon_slack_check(m)
+
+    def test_column_without_two_zeros_rejected(self):
+        # Rows (x, y, 4 - x - y, 0) of four points, each on one side of the
+        # triangle x, y >= 0, x + y <= 4: every row has two zeros, the last
+        # column four.
+        m = Matrix([[2, 0, 2, 0], [0, 2, 2, 0], [2, 2, 0, 0], [1, 0, 3, 0]])
+        assert not polygon_slack_check(m)
+
     def test_two_disjoint_cycles_rejected(self):
         # Affine dimension is forced to 2 first, so build a double band whose
         # zero graph splits into two 3-cycles.

@@ -457,6 +457,12 @@ class TestVerticesOfHPolytope:
         with pytest.raises(ValueError, match="unbounded"):
             vertices_of_h_polytope(h)
 
+    def test_nonempty_strip_is_not_pointed(self):
+        # -1 <= x <= 1 with y free: a ray has t > 0 and the y axis is lineality.
+        h = PolytopeRep("H", 2, ((1, 1, 0), (1, -1, 0)))
+        with pytest.raises(ValueError, match="^H-polyhedron is not pointed$"):
+            vertices_of_h_polytope(h)
+
 
 @st.composite
 def h_cones(draw):

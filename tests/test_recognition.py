@@ -313,6 +313,31 @@ class TestVerifyNoCertificate:
             odd = NoCertificate(cert.reason, convention, cert.witness, cert.separator)
             assert not verify_no_certificate(COUNTEREXAMPLE, odd)
 
+    def test_witness_outside_column_span_rejected(self):
+        # (0, 1) is nonnegative and the separator is nonnegative on the one
+        # column and negative on it, but it is not in the column span.
+        cert = NoCertificate(UNMATCHED_RAY, witness=(F(0), F(1)),
+                             separator=(F(0), F(-1)))
+        assert not verify_no_certificate(Matrix([[1], [0]]), cert)
+
+    def test_ones_witness_of_wrong_length_rejected(self):
+        m = Matrix([[1, 0], [0, 1], [1, 1]])
+        good = NoCertificate(ONES_NOT_IN_SPAN, witness=(1, 1, -1))
+        assert verify_no_certificate(m, good)
+        short = NoCertificate(ONES_NOT_IN_SPAN, witness=(1, 1))
+        assert not verify_no_certificate(m, short)
+
+    def test_unknown_reason_rejected(self):
+        cert = is_cone_slack(COUNTEREXAMPLE).certificate
+        odd = NoCertificate("no_reason", cert.convention, cert.witness, cert.separator)
+        assert not verify_no_certificate(COUNTEREXAMPLE, odd)
+
+    def test_missing_witness_rejected(self):
+        cert = is_cone_slack(COUNTEREXAMPLE).certificate
+        for reason in (UNMATCHED_RAY, ONES_NOT_IN_SPAN):
+            odd = NoCertificate(reason, cert.convention, None, cert.separator)
+            assert not verify_no_certificate(COUNTEREXAMPLE, odd)
+
 
 class TestVerifyYesCertificate:
     """A YES certificate holds iff m >= 0, a b = m and cone(b) = {y : a y >= 0},

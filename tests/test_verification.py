@@ -31,6 +31,7 @@ from golden import (
     SQUARE_FACETS,
     SQUARE_VERTICES,
 )
+from oracles import verify_equality_fraction_reference
 from randgen import edge, embed, on_facet, random_polytope, rng
 
 
@@ -307,3 +308,10 @@ class TestMatchesGenericRoute:
     def test_empty_q_raises(self):
         with pytest.raises(ValueError, match="^empty V-polytope$"):
             verify_polytope_equality(PolytopeRep("V", 2, ()), SQUARE_FACETS)
+
+    def test_empty_q_raises_whatever_p(self):
+        # P with no rows is not pointed; the empty Q is still an input error.
+        q, p = PolytopeRep("V", 2, ()), PolytopeRep("H", 2, ())
+        for verify in (verify_polytope_equality, verify_equality_fraction_reference):
+            with pytest.raises(ValueError, match="^empty V-polytope$"):
+                verify(q, p)
