@@ -46,10 +46,13 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
     """Decide P = Q for a V-polytope Q contained in an H-polyhedron P.
 
     Stages: P must be pointed (trivial right kernel of the inequality
-    normals), dimensions must agree, and the matrix of slacks of Q's points
+    normals), dimensions must agree, and the matrix S of slacks of Q's points
     in P's inequalities must be a polytope slack matrix.  A failure at any
     stage proves P != Q.  All of it runs on P's rows and Q's points cleared
     to ints once; dim Q is one less than the rank of Q's lifted points.
+
+    The elimination of [S | 1] comes first: S = [1 V] [beta -A]^T, so rank
+    S = n + 1 for n >= 1 means P is pointed and dim Q = dim P = n.
 
     dim P is n minus the rank of P's implicit equalities, the inequalities
     tight on all of P.  Since Q lies in P, such an inequality is tight at
@@ -67,18 +70,19 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
     slack = tuple(_slack_ints(pts, rows))  # raises when Q is not inside P
     if not pts:
         raise ValueError("empty V-polytope")
-    n = p.ambient_dim
-    if len(_echelon([primitive(r[1:]) for r, _ in rows], n)[1]) < n:
-        return VerificationResult(False, NOT_POINTED)
-    dim_q = len(_echelon([primitive((d,) + r) for r, d in pts], n + 1)[1]) - 1
-    zero = [j for j, col in enumerate(zip(*(r for r, _ in slack))) if not any(col)]
-    eqs = _implicit_equalities(_h_polytope_constraints(p), zero) if zero else []
-    dim_p = n - rank(Matrix(eqs, cols=n))
-    if dim_q != dim_p:
-        return VerificationResult(False, DIM_MISMATCH, dims=(dim_q, dim_p))
-    if dim_q == 0:
-        return VerificationResult(True, EQUAL)  # two single points, Q in P
-    no = _polytope_no(_eliminate_rows(slack, len(rows)))
+    n, e = p.ambient_dim, _eliminate_rows(slack, len(rows))
+    if n == 0 or len(e.pivots) <= n:
+        if len(_echelon([primitive(r[1:]) for r, _ in rows], n)[1]) < n:
+            return VerificationResult(False, NOT_POINTED)
+        dim_q = len(_echelon([primitive((d,) + r) for r, d in pts], n + 1)[1]) - 1
+        zero = [j for j, col in enumerate(zip(*(r for r, _ in slack))) if not any(col)]
+        eqs = _implicit_equalities(_h_polytope_constraints(p), zero) if zero else []
+        dim_p = n - rank(Matrix(eqs, cols=n))
+        if dim_q != dim_p:
+            return VerificationResult(False, DIM_MISMATCH, dims=(dim_q, dim_p))
+        if dim_q == 0:
+            return VerificationResult(True, EQUAL)  # two single points, Q in P
+    no = _polytope_no(e)
     if no:
         return VerificationResult(False, SLACK_REJECT, witness=no)
     return VerificationResult(True, EQUAL)

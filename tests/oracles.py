@@ -13,7 +13,7 @@ from slackmat import (
     is_polytope_slack,
     slack_of_polytope,
 )
-from slackmat.lp import EQ, GE, OPTIMAL, Constraint, lp_solve
+from slackmat.lp import EQ, GE, LE, OPTIMAL, Constraint, lp_solve
 from slackmat.matrix import (
     Vec,
     dot,
@@ -32,8 +32,6 @@ from slackmat.matrix import (
     vsub,
 )
 from slackmat.polyhedra import (
-    _h_polytope_constraints,
-    _implicit_equalities,
     _lineality_rref_basis,
     _project_off,
     dd_h_to_v,
@@ -435,6 +433,22 @@ def polar_realization_fraction_reference(m: Matrix):
     return v, alpha
 
 
+def implicit_equalities_lp_reference(p: PolytopeRep, tight) -> list[Vec]:
+    """Normals of the rows a.x <= beta of P, among those indexed by `tight`,
+    that are tight on all of P: one LP per row maximizes its slack, capped
+    at 1, and the row is an implicit equality iff the optimum is 0."""
+    constraints = [Constraint(a, LE, beta) for beta, a in p.inequalities()]
+    normals = []
+    for ci in (constraints[i] for i in tight):
+        slack_obj = vscale(F(-1), ci.coeffs)
+        capped = constraints + [Constraint(slack_obj, LE, 1 - ci.rhs)]
+        out = lp_solve(slack_obj, capped, sense="max")
+        # A cap that cuts away all of P means the slack is above 1 there.
+        if out.status == OPTIMAL and out.value + ci.rhs == 0:
+            normals.append(ci.coeffs)
+    return normals
+
+
 def verify_equality_fraction_reference(q: PolytopeRep, p: PolytopeRep):
     """`verify_polytope_equality` with the Fraction route's recognition."""
     if q.form != "V" or p.form != "H":
@@ -446,7 +460,7 @@ def verify_equality_fraction_reference(q: PolytopeRep, p: PolytopeRep):
         return VerificationResult(False, NOT_POINTED)
     tight = [j for j, (beta, a) in enumerate(p.inequalities())
              if all(dot(a, x) == beta for x in q.points())]
-    eqs = _implicit_equalities(_h_polytope_constraints(p), tight)
+    eqs = implicit_equalities_lp_reference(p, tight)
     dim_p = n - rank(Matrix(eqs, cols=n))
     if dim_q != dim_p:
         return VerificationResult(False, DIM_MISMATCH, dims=(dim_q, dim_p))

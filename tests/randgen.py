@@ -247,3 +247,42 @@ def verification_variants(r):
         (PolytopeRep("V", n, pts[:i] + pts[i + 1:]), PolytopeRep("H", n, messy_h)),
         (v, PolytopeRep("H", n, scaled[:j] + scaled[j + 1:])),
     ]
+
+
+def verification_edge_cases(r):
+    """(V-polytope, H-polyhedron) pairs at the edges of the rank of the
+    slack matrix S: P with the rows 0.x <= 0 and 0.x <= 1 added; P a simplex
+    with one facet deleted, so rank [beta -A] = n; P a box with one facet
+    deleted, unbounded but with rank S = n + 1; P the facets through one
+    vertex of Q.  Q is a polytope inside P, whole, less a point or on one
+    of its own facets, at random."""
+    v, h = random_polytope(r, max_dim=3, max_vertices=7)
+    n = v.ambient_dim
+    zero = (F(0),) * (n + 1)
+    padded = h.vectors + (zero, (F(1),) + zero[1:])
+    while True:
+        simplex = PolytopeRep("V", n, tuple(
+            tuple(random_fraction(r) for _ in range(n)) for _ in range(n + 1)))
+        if dimension(simplex) == n:
+            break
+    facets = facet_inequalities(simplex).vectors
+    lows = [random_fraction(r) for _ in range(n)]
+    highs = [lo + F(r.randint(1, 4), r.choice((1, 2, 3))) for lo in lows]
+    box = PolytopeRep("V", n, tuple(itertools.product(*zip(lows, highs))))
+    walls = tuple((sign * b,) + tuple(F(sign * (k == i)) for k in range(n))
+                  for i in range(n) for sign, b in ((1, highs[i]), (-1, lows[i])))
+    s = slack_of_polytope(v, h)
+    i = r.randrange(len(v.vectors))
+    corner = tuple(row for row, x in zip(h.vectors, s.data[i]) if x == 0)
+
+    def pair(q, q_facets, rows):
+        q = r.choice([q, PolytopeRep("V", n, q.vectors[1:]),
+                      on_facet(q, PolytopeRep("H", n, q_facets),
+                               r.randrange(len(q_facets)))])
+        return q, PolytopeRep("H", n, rows)
+
+    j, k = r.randrange(n + 1), r.randrange(2 * n)
+    return [pair(v, h.vectors, padded),
+            pair(simplex, facets, facets[:j] + facets[j + 1:]),
+            pair(box, walls, walls[:k] + walls[k + 1:]),
+            pair(v, h.vectors, corner)]

@@ -63,7 +63,9 @@ class TestPolygonSlackCheck:
         with pytest.raises(ValueError, match=NOT_APPLICABLE):
             polygon_slack_check(Matrix.identity(2))
 
-    def test_wrong_zero_count_rejected(self):
+    def test_affine_rank_three_rejected(self):
+        # The rows span an affine space of dimension three, not two, so the
+        # rank test rejects before any zero is counted.
         m = Matrix([
             [0, 0, 0, 1],
             [1, 0, 0, 1],

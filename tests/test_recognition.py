@@ -54,6 +54,7 @@ from randgen import (
     random_slack_like_matrix,
     recognition_inputs,
     rng,
+    verification_edge_cases,
     verification_inputs,
     verification_variants,
 )
@@ -861,6 +862,17 @@ class TestIntegerCore:
                 reasons.add(_same_verification(q, p))
                 pairs += 1
         assert reasons == {"equal", "slack_reject", "dim_mismatch", "not_pointed"}
+
+    def test_verification_edge_cases_identical_to_fraction_route(self):
+        # Zero rows in P, and P unbounded with rank S = n and with rank
+        # S = n + 1: the rank of S alone must never skip a failing stage.
+        r = rng(15)
+        reasons, pairs = set(), 0
+        while pairs < 1000:
+            for q, p in verification_edge_cases(r):
+                reasons.add(_same_verification(q, p))
+                pairs += 1
+        assert reasons == {"equal", "slack_reject", "dim_mismatch"}
 
 
 def _same_verification(q, p):

@@ -15,7 +15,7 @@ from slackmat import (
     verify_no_certificate,
     verify_polytope_equality,
 )
-from slackmat import polyhedra, recognition, verification
+from slackmat import matrix, polyhedra, recognition, verification
 from slackmat.polyhedra import (
     contains_origin_interior,
     facet_inequalities,
@@ -231,6 +231,66 @@ class TestLpCount:
         zero = [j for j in range(s.cols) if all(row[j] == 0 for row in s.data)]
         verify_polytope_equality(q, p)
         assert tight_rows == [zero] == [want]
+
+
+class TestRankShortcut:
+    """rank S = n + 1 proves P pointed and dim Q = dim P = n, so such a pair
+    goes from the one elimination of [S | 1] straight to recognition."""
+
+    @pytest.fixture
+    def echelons(self, monkeypatch):
+        """(rows, columns) of every _echelon call."""
+        echelon, shapes = matrix._echelon, []
+
+        def spy(a, ncols):
+            shapes.append((len(a), ncols))
+            return echelon(a, ncols)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "slackmat" or name.startswith("slackmat."):
+                for attr, value in list(vars(mod).items()):
+                    if value is echelon:
+                        monkeypatch.setattr(mod, attr, spy)
+        return shapes
+
+    @SOLIDS
+    @pytest.mark.parametrize("case, reason", [
+        ("equal", EQUAL), ("vertex-deleted", SLACK_REJECT),
+        ("facet-deleted", SLACK_REJECT),
+    ])
+    def test_full_dimensional_pair_is_one_elimination(self, echelons, q, p,
+                                                      case, reason):
+        if case == "vertex-deleted":
+            q = PolytopeRep("V", 3, q.vectors[1:])
+        elif case == "facet-deleted":
+            p = PolytopeRep("H", 3, p.vectors[1:])
+        assert verify_polytope_equality(q, p).reason == reason
+        # Only [S | 1]: none on P's normals (n columns) or Q's lifted points.
+        assert echelons == [(len(q.vectors), len(p.vectors) + 1)]
+
+    @pytest.mark.parametrize("q, p, reason", [
+        (on_facet(PRISM_VERTICES, PRISM_FACETS, 0), PRISM_FACETS, DIM_MISMATCH),
+        (*embed(SQUARE_VERTICES, SQUARE_FACETS), EQUAL),
+        (PolytopeRep("V", 2, ((0, 0), (0, 1))),
+         PolytopeRep("H", 2, ((1, 0, 1), (1, 0, -1))), NOT_POINTED),
+        (PolytopeRep("V", 0, ((),)), PolytopeRep("H", 0, ()), EQUAL),
+        # 0 <= 1 makes rank S = 1 = n + 1 in R^0, and the point is still P.
+        (PolytopeRep("V", 0, ((),)), PolytopeRep("H", 0, ((1,), (0,))), EQUAL),
+        (PolytopeRep("V", 1, ((0,),)), PolytopeRep("H", 1, ((0, 1), (0, -1))),
+         EQUAL),
+        (PolytopeRep("V", 3, ((1, 2, 3),)),
+         PolytopeRep("H", 3, ((1, 1, 0, 0), (-1, -1, 0, 0), (2, 0, 1, 0),
+                              (-2, 0, -1, 0), (3, 0, 0, 1), (-3, 0, 0, -1),
+                              (7, 1, 1, 1))), EQUAL),
+    ], ids=["prism-one-facet", "square-embedded", "strip", "point-R0",
+            "point-R0-rows", "point-R1", "point-R3"])
+    def test_lower_rank_pairs_run_the_stages(self, echelons, q, p, reason):
+        assert verify_polytope_equality(q, p).reason == reason
+        n = p.ambient_dim
+        assert echelons[0] == (len(q.vectors), len(p.vectors) + 1)
+        assert echelons[1] == (len(p.vectors), n)  # P's normals
+        if reason != NOT_POINTED:
+            assert echelons[2] == (len(q.vectors), n + 1)  # Q's lifted points
 
 
 class TestIntegerRoute:
