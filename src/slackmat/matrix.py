@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -243,20 +243,18 @@ def rank(m: Matrix) -> int:
 
 def right_kernel_basis(m: Matrix) -> list[Vec]:
     """Basis of { x : m x = 0 }, one vector per free column of the RREF."""
-    return _kernel_basis(*_echelon(_cleared(m.data), m.cols), m.cols)
+    return list(_kernel_basis(*_echelon(_cleared(m.data), m.cols), m.cols))
 
 
-def _kernel_basis(a, pivots, ncols: int) -> list[Vec]:
-    """The right kernel basis read off an `_echelon` result."""
+def _kernel_basis(a, pivots, ncols: int) -> Iterator[Vec]:
+    """The right kernel basis read off an `_echelon` result, built lazily."""
     pivot_set = set(pivots)
-    basis = []
     for f in (j for j in range(ncols) if j not in pivot_set):
         x = [Fraction(0)] * ncols
         x[f] = Fraction(1)
         for i, pc in enumerate(pivots):
             x[pc] = Fraction(-a[i][f], a[i][pc])
-        basis.append(tuple(x))
-    return basis
+        yield tuple(x)
 
 
 def left_kernel_basis(m: Matrix) -> list[Vec]:

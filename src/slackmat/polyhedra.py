@@ -166,13 +166,16 @@ def _dd(rows: Sequence[tuple[int, ...]], n: int):
             signed = [(sum(map(mul, b, r)), r, z) for r, z in rays]
             rays = [(r, z | bit if s == 0 else z) for s, r, z in signed if s >= 0]
             # Extreme rays have distinct zero sets, and two of them are
-            # adjacent iff no third one's zero set contains their common one.
+            # adjacent iff no third one's zero set contains their common one,
+            # whose rows then have rank n - len(lin) - 2: at least that many.
             zs = [z for _, _, z in signed]
             pos = [t for t in signed if t[0] > 0]
+            need = n - len(lin) - 2
             for sm, rm, zm in (t for t in signed if t[0] < 0):
                 for sp, rp, zp in pos:
                     common = zm & zp
-                    if all(z & common != common for z in zs if z != zm and z != zp):
+                    if common.bit_count() >= need and all(
+                            z & common != common for z in zs if z != zm and z != zp):
                         comb = primitive([sp * x - sm * y for x, y in zip(rm, rp)])
                         rays.append((comb, common | bit))
     return rays, lin

@@ -11,14 +11,15 @@ holds iff every extreme ray of the pointed cone {y : A y >= 0} is a positive
 multiple of a column of B.  An unmatched ray is refuted by a separator
 written down in closed form, without a second cone conversion.  One
 fraction-free elimination of [M | 1], on M cleared to ints once, gives the
-rank, A, B and the c with A c = 1 (or shows 1 is not in the column span),
-and every later step works on those ints.
+rank, A, B and the c with A c = 1 (or shows 1 is not in the column span):
+one record, `_Echelon`, that answers both questions at most once, on ints.
 
 Every verdict ships a certificate: an exact rank factorization on yes, a
 point-and-separator witness (or a span/rank witness for the polytope-only
 preconditions) on no.  Certificates are re-checkable independently of the
-decision path: a no by plain arithmetic, a yes by one double description on
-its own factors.
+decision path: a no by ranks, signs and dot products (x is in the span of
+M iff rank [M | x] = rank M), a yes by one double description on its own
+factors, through recognition's ray match (`_cone_match`).
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from typing import Optional
 from .matrix import (
     Matrix,
     Vec,
+    _cleared,
     _echelon,
     _kernel_basis,
     dot,
     integer_vec,
     is_zero_vec,
-    left_kernel_basis,
     ones,
     primitive,
     rank,
@@ -113,8 +114,8 @@ def _require_nonnegative(m: Matrix) -> None:
 
 @dataclass(frozen=True)
 class _Echelon:
-    """One fraction-free elimination of [M | 1], which decides M's CCGC at
-    most once (`unmatched`)."""
+    """One fraction-free elimination of [M | 1], which decides M's CCGC
+    (`unmatched`) and its polytope question (`polytope_no`) at most once."""
 
     rows: tuple  # M's rows cleared once: (ints, d), row i of M is ints / d
     pivots: tuple  # M's pivot columns; A is M on them, and M = A B
@@ -125,29 +126,46 @@ class _Echelon:
     @cached_property
     def unmatched(self) -> Optional[NoCertificate]:
         """The CCGC of M = A B: None, or the certificate refuting it."""
-        # A is injective, so the cone is pointed and its extreme rays are _dd's
-        # primitive int rays, each equal to a primitive column iff a positive
-        # multiple of it.  The first unmatched ray in canonical order is refuted.
+        # A is injective, so the cone is pointed and its rays are unique.
         a = [[r[j] for j in self.pivots] for r, _ in self.rows]
-        rays, _ = _dd([primitive(r) for r in a], len(self.pivots))
-        columns = {primitive(c) for c in zip(*self.b) if any(c)}
-        unmatched = [y for y, _ in rays if y not in columns]
-        if not unmatched:
+        _, y = _cone_match(_distinct(a), _distinct(zip(*self.b)), len(self.pivots))
+        if y is None:
             return None
-        y = min(unmatched, key=canonical_ray)
         x = canonical_ray([Fraction(sum(map(mul, r, y)), d)
                            for r, (_, d) in zip(a, self.rows)])
         return NoCertificate(UNMATCHED_RAY, "column", x,
                              _separator(_columns(self.rows)[0], x))
 
+    @cached_property
+    def polytope_no(self) -> Optional[NoCertificate]:
+        """M's polytope NO certificate, or None; the CCGC is decided last."""
+        if len(self.pivots) < 2:
+            return NoCertificate(RANK_TOO_SMALL)
+        if self.c is None:
+            # z m = 0 iff z a = 0; the rows of a^T are m's pivot columns.
+            cols, p = _columns(self.rows)[0], len(self.rows)
+            at = [primitive(cols[j]) for j in self.pivots]
+            z = next(z for z in _kernel_basis(*_echelon(at, p), p) if sum(z) != 0)
+            return NoCertificate(ONES_NOT_IN_SPAN, witness=z)
+        return self.unmatched
 
-def _eliminate(m: Matrix) -> _Echelon:
-    _require_nonnegative(m)
-    return _eliminate_rows(tuple(integer_vec(r) for r in m.data), m.cols)
+
+def _distinct(vectors) -> dict[tuple[int, ...], None]:
+    """The distinct nonzero primitive forms of int vectors, in order."""
+    return dict.fromkeys(primitive(v) for v in vectors if any(v))
+
+
+def _cone_match(rows, cols, k: int) -> tuple[list, Optional[tuple[int, ...]]]:
+    """(lin, y): the lineality of {y in R^k : r.y >= 0, r in rows} and its
+    first ray in canonical order that is no positive multiple of a vector in
+    `cols`, or None; rows and cols are primitive ints, so that is `not in`."""
+    rays, lin = _dd(list(rows), k)
+    return lin, min((y for y, _ in rays if y not in cols), key=canonical_ray,
+                    default=None)
 
 
 def _eliminate_rows(rows: tuple, q: int) -> _Echelon:
-    """`_eliminate` of M's q columns given cleared: any (ints, d) rows of it."""
+    """The elimination of [M | 1], M's q columns given as (ints, d) rows."""
     ech, pivots = _echelon([primitive(r + (d,)) for r, d in rows], q + 1)
     spans = q not in pivots
     pivots = pivots if spans else pivots[:-1]
@@ -196,10 +214,12 @@ def _forget(ref) -> None:
 def _recognized(m: Matrix) -> _Echelon:
     """m's elimination, kept in one entry for the last Matrix recognized:
     (weakref, e), keyed by identity, replaced whole, dropped when m dies.
-    The entry keeps e's CCGC outcome once it is decided."""
+    The entry keeps e's answers once they are decided."""
     global _last
     if _last is None or _last[0]() is not m:
-        _last = (weakref.ref(m, _forget), _eliminate(m))
+        _require_nonnegative(m)
+        e = _eliminate_rows(tuple(integer_vec(r) for r in m.data), m.cols)
+        _last = (weakref.ref(m, _forget), e)
     return _last[1]
 
 
@@ -240,41 +260,21 @@ def is_cone_slack(m: Matrix) -> RecognitionResult:
     return ccgc_check(m)
 
 
-def _polytope_no(e: _Echelon) -> Optional[NoCertificate]:
-    """The polytope NO certificate of the matrix eliminated in e, or None.
-    The CCGC is decided only past the rank and span tests."""
-    if len(e.pivots) < 2:
-        return NoCertificate(RANK_TOO_SMALL)
-    if e.c is None:
-        # z m = 0 iff z a = 0; the rows of a^T are m's pivot columns.
-        cols, _ = _columns(e.rows)
-        at = [primitive(cols[j]) for j in e.pivots]
-        p = len(e.rows)
-        z = next(z for z in _kernel_basis(*_echelon(at, p), p) if sum(z) != 0)
-        return NoCertificate(ONES_NOT_IN_SPAN, witness=z)
-    return e.unmatched
-
-
-def _polytope_verdict(m: Matrix) -> tuple[_Echelon, Optional[NoCertificate]]:
-    """(e, no): m's elimination, kept by `_recognized`, and `_polytope_no`."""
-    e = _recognized(m)
-    return e, _polytope_no(e)
-
-
 def is_polytope_slack(m: Matrix) -> RecognitionResult:
     """Is m a slack matrix of some polytope?
 
     Requires rank at least two, the all-ones vector in the column span, and
     the CCGC; the yes-certificate carries a realized polytope.
     """
-    e, no = _polytope_verdict(m)
+    e = _recognized(m)
+    no = e.polytope_no
     return RecognitionResult(no is None, KIND_POLYTOPE, no or _certificate(m, e))
 
 
 def verify_no_certificate(m: Matrix, cert: NoCertificate) -> bool:
     """Re-check a rejection certificate by pure arithmetic.
 
-    Independent of the recognition path: only kernels, signs and dot
+    Independent of the recognition path: only ranks, signs and dot
     products.  Invalid or ill-shaped certificates return False.
     """
     if cert.convention not in ("row", "column"):
@@ -296,20 +296,14 @@ def verify_no_certificate(m: Matrix, cert: NoCertificate) -> bool:
             return False
         if is_zero_vec(x) or any(xi < 0 for xi in x):
             return False
-        if any(dot(z, x) != 0 for z in left_kernel_basis(mm)):
+        rows = _cleared(r + (xi,) for r, xi in zip(mm.data, x))
+        if mm.cols in _echelon(rows, mm.cols + 1)[1]:  # x is not in the span
             return False
         if any(dot(h, c) < 0 for c in mm.columns()):
             return False
         return dot(h, x) < 0
     except (ValueError, TypeError):
         return False
-
-
-def _generators(vectors) -> dict[tuple[int, ...], None]:
-    """The distinct nonzero primitive int forms of the vectors, as an
-    insertion-ordered set."""
-    return dict.fromkeys(
-        primitive(integer_vec(v)[0]) for v in vectors if not is_zero_vec(v))
 
 
 def verify_yes_certificate(m: Matrix, cert: YesCertificate) -> bool:
@@ -337,11 +331,12 @@ def verify_yes_certificate(m: Matrix, cert: YesCertificate) -> bool:
                 return False
     except ValueError:  # mis-shaped blocks, or a V point outside the H-polytope
         return False
-    rows, cols = _generators(a.data), _generators(b.columns())
+    rows = _distinct(integer_vec(r)[0] for r in a.data)
+    cols = _distinct(integer_vec(c)[0] for c in b.columns())
     if len(cols) < len(rows):
         rows, cols = cols, rows
-    rays, lin = _dd(rows, a.cols)
-    return not lin and all(y in cols for y, _ in rays)
+    lin, y = _cone_match(rows, cols, a.cols)
+    return not lin and y is None
 
 
 def reconstruct_cone(m: Matrix) -> tuple[ConeRep, ConeRep]:
@@ -407,8 +402,8 @@ def reconstruct_polytope(
     the first nonzero coordinate of c, and is applied in closed form.  An
     explicit factorization may be supplied; the default is the certificate's.
     """
-    e, no = _polytope_verdict(m)
-    if no:
+    e = _recognized(m)
+    if e.polytope_no:
         raise ValueError("not a slack matrix of a polytope")
     if factors is not None:
         a, b = factors
@@ -479,8 +474,8 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
     Its slack table, transposed the polar's, is checked against alpha m.
     Right after is_polytope_slack(m), m is neither eliminated nor DD'd again.
     """
-    e, no = _polytope_verdict(m)
-    if no:
+    e = _recognized(m)
+    if e.polytope_no:
         raise ValueError("matrix is not a polytope slack matrix")
     # b's pivot columns are the identity, so (nu a) b = 1 forces nu a = 1:
     # it holds iff every column of b sums to 1.

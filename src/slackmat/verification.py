@@ -14,7 +14,7 @@ from .polyhedra import (
     _slack_ints,
     slack_of_polytope,
 )
-from .recognition import NoCertificate, _eliminate_rows, _polytope_no
+from .recognition import NoCertificate, _eliminate_rows
 
 EQUAL = "equal"
 NOT_POINTED = "not_pointed"
@@ -82,7 +82,6 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
             return VerificationResult(False, DIM_MISMATCH, dims=(dim_q, dim_p))
         if dim_q == 0:
             return VerificationResult(True, EQUAL)  # two single points, Q in P
-    no = _polytope_no(e)
-    if no:
-        return VerificationResult(False, SLACK_REJECT, witness=no)
+    if e.polytope_no:
+        return VerificationResult(False, SLACK_REJECT, witness=e.polytope_no)
     return VerificationResult(True, EQUAL)

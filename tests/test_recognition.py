@@ -254,6 +254,25 @@ class TestIsPolytopeSlack:
     def test_square_example(self):
         assert is_polytope_slack(SQUARE_HOMOG).verdict
 
+    def test_tall_ones_witness_builds_one_kernel_vector(self, monkeypatch):
+        # 1 is not in the column span (row 3 would need 1 + 1 = 1), and the
+        # first kernel vector of a^T, for free column 2, sums to -1.
+        m = Matrix([[1, 0], [0, 1]] + [[1, 1]] * 250)
+        read = set()
+
+        class Row(tuple):  # records the columns a kernel vector reads
+            def __getitem__(self, j):
+                read.add(j)
+                return tuple.__getitem__(self, j)
+
+        kernel_basis = recognition._kernel_basis
+        monkeypatch.setattr(recognition, "_kernel_basis",
+                            lambda a, piv, n: kernel_basis([Row(r) for r in a], piv, n))
+        res = is_polytope_slack(m)
+        assert res.certificate.witness == (F(-1), F(-1), F(1)) + (F(0),) * 249
+        assert verify_no_certificate(m, res.certificate)
+        assert read - {0, 1} == {2}  # one free column of 250: one vector built
+
     def test_rank_one_rejected(self):
         res = is_polytope_slack(Matrix([[1, 2], [2, 4]]))
         assert not res.verdict
@@ -320,6 +339,23 @@ class TestVerifyNoCertificate:
         cert = NoCertificate(UNMATCHED_RAY, witness=(F(0), F(1)),
                              separator=(F(0), F(-1)))
         assert not verify_no_certificate(Matrix([[1], [0]]), cert)
+
+    def test_span_test_builds_no_kernel(self, monkeypatch):
+        calls, kernel = [], matrix.left_kernel_basis
+        for n, mod in list(sys.modules.items()):
+            if n == "slackmat" or n.startswith("slackmat."):
+                for attr, value in list(vars(mod).items()):
+                    if value is kernel:
+                        monkeypatch.setattr(mod, attr,
+                                            lambda m: calls.append(m) or kernel(m))
+        tall = Matrix(CUBE5_MINUS_FACET.data * 8, cols=CUBE5_MINUS_FACET.cols)
+        outside = NoCertificate(UNMATCHED_RAY, witness=(F(0), F(1)),
+                                separator=(F(0), F(-1)))
+        for m in (COUNTEREXAMPLE, tall, tall.transpose()):
+            for res in (ccgc_check(m), rcgc_check(m)):
+                assert res.verdict or verify_no_certificate(m, res.certificate)
+        assert not verify_no_certificate(Matrix([[1], [0]]), outside)
+        assert calls == []
 
     def test_ones_witness_of_wrong_length_rejected(self):
         m = Matrix([[1, 0], [0, 1], [1, 1]])
@@ -552,11 +588,11 @@ class TestPolarRealization:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Count the polytope verdict core, the DD core and lp_solve calls
-        at every slackmat module binding."""
+        """Count the recognition record's lookups, the DD core and lp_solve
+        calls at every slackmat module binding."""
         _cold()
         counts = {}
-        for target in (recognition._polytope_verdict, polyhedra._dd,
+        for target in (recognition._recognized, polyhedra._dd,
                        lp.lp_solve):
             name = target.__name__
             counts[name] = 0
@@ -578,12 +614,12 @@ class TestPolarRealization:
     def test_one_recognition_one_dd_no_lp(self, calls, m):
         _, scale = polar_realization(m)
         assert scale > 0
-        assert calls == {"_polytope_verdict": 1, "_dd": 1, "lp_solve": 0}
+        assert calls == {"_recognized": 1, "_dd": 1, "lp_solve": 0}
 
     def test_unscaled_prism_transpose_rejected(self, calls):
         with pytest.raises(ValueError, match="transpose"):
             polar_realization(PRISM)
-        assert calls == {"_polytope_verdict": 1, "_dd": 1, "lp_solve": 0}
+        assert calls == {"_recognized": 1, "_dd": 1, "lp_solve": 0}
 
     def test_matches_two_recognition_route(self):
         r = rng(4)
@@ -808,8 +844,8 @@ class TestClosedFormPolar:
         assert outcome == _polar_outcome(polar_realization_fraction_reference, m)
 
     def test_round_60_c_ends_in_zero(self):
-        e, no = recognition._polytope_verdict(ROUND_60)
-        assert (no, len(e.pivots), e.c[-1]) == (None, 3, 0)
+        e = recognition._recognized(ROUND_60)
+        assert (e.polytope_no, len(e.pivots), e.c[-1]) == (None, 3, 0)
 
 
 def _cert_text(res):
@@ -941,7 +977,8 @@ class TestRecognitionCache:
 
     def test_shared_elimination_is_immutable(self):
         m = _copy(PRISM_SCALED)
-        e, _ = recognition._polytope_verdict(m)
+        e = recognition._recognized(m)
+        assert e.polytope_no is None
         for field in (e.rows, e.b, e.c):
             assert isinstance(field, tuple)
         for row in e.rows + e.b:

@@ -301,7 +301,7 @@ class TestIntegerRoute:
     @pytest.fixture
     def calls(self, monkeypatch):
         targets = (polyhedra.slack_of_polytope, polyhedra.dimension,
-                   recognition._eliminate, polyhedra._h_polytope_constraints)
+                   recognition._recognized, polyhedra._h_polytope_constraints)
         counts = {f.__name__: 0 for f in targets}
         for target in targets:
             def counting(*args, _f=target, **kwargs):
@@ -330,7 +330,7 @@ class TestIntegerRoute:
     def test_zero_columns_build_constraints_once(self, calls, q, p):
         verify_polytope_equality(q, p)
         assert calls == {"slack_of_polytope": 0, "dimension": 0,
-                         "_eliminate": 0, "_h_polytope_constraints": 1}
+                         "_recognized": 0, "_h_polytope_constraints": 1}
 
 
 class TestMatchesGenericRoute:
