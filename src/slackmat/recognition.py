@@ -7,8 +7,9 @@ when this holds, and of a polytope when additionally its rank is at least
 two and the all-ones vector lies in its column span.
 
 The test runs in the coordinates of one rank factorization M = A B: the CCGC
-holds iff every extreme ray of the pointed cone {y : A y >= 0} is a positive
-multiple of a column of B.  An unmatched ray is refuted by a separator
+holds iff every extreme ray of {y : A y >= 0} is a positive multiple of a
+column of B, or dually iff every one of {z : z B >= 0} is one of a row of A;
+one DD runs on the smaller side.  An unmatched ray is refuted by a separator
 written down in closed form, without a second cone conversion.  One
 fraction-free elimination of [M | 1], on M cleared to ints once, gives the
 rank, A, B and the c with A c = 1 (or shows 1 is not in the column span):
@@ -86,7 +87,7 @@ class NoCertificate:
     reason UNMATCHED_RAY: `witness` lies in the relevant span intersected
     with the nonnegative orthant while `separator` is nonnegative on every
     generator of the claimed cone and negative on the witness.  The
-    convention says whether rows or columns generate the claimed cone.
+    convention names those generators, rows or columns (rows: from B's side).
 
     reason ONES_NOT_IN_SPAN: `witness` annihilates the matrix from the left
     but not the all-ones vector, so no polytope realization exists.
@@ -126,15 +127,17 @@ class _Echelon:
     @cached_property
     def unmatched(self) -> Optional[NoCertificate]:
         """The CCGC of M = A B: None, or the certificate refuting it."""
-        # A is injective, so the cone is pointed and its rays are unique.
-        a = [[r[j] for j in self.pivots] for r, _ in self.rows]
-        _, y = _cone_match(_distinct(a), _distinct(zip(*self.b)), len(self.pivots))
+        # A is injective and B onto, so either side's cone is pointed.
+        cols = _columns(self.rows)
+        a = list(zip(*(cols[j] for j in self.pivots)))  # A over one denominator
+        bt = list(zip(*self.b))
+        side, _, y = _cone_match(a, bt, len(self.pivots))
         if y is None:
             return None
-        x = canonical_ray([Fraction(sum(map(mul, r, y)), d)
-                           for r, (_, d) in zip(a, self.rows)])
-        return NoCertificate(UNMATCHED_RAY, "column", x,
-                             _separator(_columns(self.rows)[0], x))
+        # x = A y, separated from M's columns, or x = y B, from M's rows.
+        f, gens = (a, cols) if side == "column" else (bt, [r for r, _ in self.rows])
+        x = canonical_ray([sum(map(mul, v, y)) for v in f])
+        return NoCertificate(UNMATCHED_RAY, side, x, _separator(gens, x))
 
     @cached_property
     def polytope_no(self) -> Optional[NoCertificate]:
@@ -143,25 +146,24 @@ class _Echelon:
             return NoCertificate(RANK_TOO_SMALL)
         if self.c is None:
             # z m = 0 iff z a = 0; the rows of a^T are m's pivot columns.
-            cols, p = _columns(self.rows)[0], len(self.rows)
+            cols, p = _columns(self.rows), len(self.rows)
             at = [primitive(cols[j]) for j in self.pivots]
             z = next(z for z in _kernel_basis(*_echelon(at, p), p) if sum(z) != 0)
             return NoCertificate(ONES_NOT_IN_SPAN, witness=z)
         return self.unmatched
 
 
-def _distinct(vectors) -> dict[tuple[int, ...], None]:
-    """The distinct nonzero primitive forms of int vectors, in order."""
-    return dict.fromkeys(primitive(v) for v in vectors if any(v))
-
-
-def _cone_match(rows, cols, k: int) -> tuple[list, Optional[tuple[int, ...]]]:
-    """(lin, y): the lineality of {y in R^k : r.y >= 0, r in rows} and its
-    first ray in canonical order that is no positive multiple of a vector in
-    `cols`, or None; rows and cols are primitive ints, so that is `not in`."""
+def _cone_match(rows, cols, k: int) -> tuple[str, list, Optional[tuple[int, ...]]]:
+    """(side, lin, y): cone(cols) = {y : rows.y >= 0} iff {x : x.cols >= 0}
+    = cone(rows), so one DD runs on the side with fewer distinct nonzero
+    primitive vectors, "column" on rows (on a tie) or "row" on cols; y is its
+    first ray in canonical order no positive multiple of the other side's."""
+    rows, cols = ({primitive(v): None for v in vs if any(v)} for vs in (rows, cols))
+    side, rows, cols = (("column", rows, cols) if len(rows) <= len(cols)
+                        else ("row", cols, rows))
     rays, lin = _dd(list(rows), k)
-    return lin, min((y for y, _ in rays if y not in cols), key=canonical_ray,
-                    default=None)
+    return side, lin, min((y for y, _ in rays if y not in cols), key=canonical_ray,
+                          default=None)
 
 
 def _eliminate_rows(rows: tuple, q: int) -> _Echelon:
@@ -176,23 +178,23 @@ def _eliminate_rows(rows: tuple, q: int) -> _Echelon:
                     tuple(r[q] for r in bc) if spans else None, den)
 
 
-def _columns(rows) -> tuple[list[tuple[int, ...]], int]:
-    """(columns, d): M's columns as ints over one d, from its cleared rows."""
+def _columns(rows) -> list[tuple[int, ...]]:
+    """M's columns as ints over one denominator, from its cleared rows."""
     d = lcm(*(e for _, e in rows))
-    return list(zip(*([x * (d // e) for x in r] for r, e in rows))), d
+    return list(zip(*([x * (d // e) for x in r] for r, e in rows)))
 
 
-def _separator(columns, x: Vec) -> Vec:
-    """h = t - eps x, nonnegative on the columns and negative on x.
+def _separator(gens, x: Vec) -> Vec:
+    """h = t - eps x, nonnegative on the generators and negative on x.
 
-    t indicates the zero set of the unmatched extreme ray x; a nonzero column
-    with t . M_j = 0 would be a multiple of x, so eps > 0 exists.
+    t indicates the zero set of the unmatched extreme ray x; a nonzero
+    generator g with t . g = 0 would be a multiple of x, so eps > 0 exists.
     """
-    # With x = p / d and a column cleared to ints C, t.M_j / x.M_j is
-    # d (t.C) / (p.C); eps = d en / ed is the least of these, or 1.
+    # With x = p / d and a generator scaled to ints C, t.g / x.g is
+    # d (t.C) / (p.C), whatever the scale; eps = d en / ed is the least, or 1.
     p, d = integer_vec(x)
     least = None
-    for c in columns:
+    for c in gens:
         s = sum(map(mul, p, c))
         if s > 0:
             t = sum(y for y, pi in zip(c, p) if pi == 0)
@@ -226,10 +228,10 @@ def _recognized(m: Matrix) -> _Echelon:
 def ccgc_check(m: Matrix) -> RecognitionResult:
     """Decide the column cone generating condition with a certificate.
 
-    With a rank factorization m = a b, run one double description of the
-    pointed cone {y : a y >= 0} in dimension rank(m) and require each extreme
-    ray to be a positive multiple of a column of b; a is injective, so this
-    is the CCGC in R^p.  An unmatched ray y gives the witness x = a y.
+    With a rank factorization m = a b, one double description in dimension
+    rank(m), on the side `_cone_match` picks, requires each extreme ray of
+    {y : a y >= 0} to be a positive multiple of a column of b, or each of
+    {z : z b >= 0} of a row of a.  An unmatched y or z gives x = a y or z b.
     A second question about the same Matrix object reuses both (_recognized).
     """
     e = _recognized(m)
@@ -312,8 +314,8 @@ def verify_yes_certificate(m: Matrix, cert: YesCertificate) -> bool:
     With m >= 0 and a b = m, the CCGC of m holds iff cone(b) = {y : a y >= 0}:
     iff every extreme ray of that cone is a positive multiple of a column of
     b, or, dually, every one of {x : x b >= 0} of a row of a.  One DD decides
-    it on the side with fewer distinct generators; a lineality space there
-    (a factor of rank below a.cols) fails.  With mu it also needs rank(m) >= 2
+    it on the side `_cone_match` picks; a lineality space there (a factor of
+    rank below a.cols) fails.  With mu it also needs rank(m) >= 2
     and m mu = 1, and with a V/H pair that its slack matrix is m and [1 | V]
     has rank a.cols.  Invalid or ill-shaped certificates return False.
     """
@@ -331,11 +333,8 @@ def verify_yes_certificate(m: Matrix, cert: YesCertificate) -> bool:
                 return False
     except ValueError:  # mis-shaped blocks, or a V point outside the H-polytope
         return False
-    rows = _distinct(integer_vec(r)[0] for r in a.data)
-    cols = _distinct(integer_vec(c)[0] for c in b.columns())
-    if len(cols) < len(rows):
-        rows, cols = cols, rows
-    lin, y = _cone_match(rows, cols, a.cols)
+    _, lin, y = _cone_match((integer_vec(r)[0] for r in a.data),
+                            (integer_vec(c)[0] for c in b.columns()), a.cols)
     return not lin and y is None
 
 

@@ -1,5 +1,6 @@
 """Independent brute-force oracles; deliberately dumber than the library."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -359,6 +360,23 @@ def ccgc_fraction_reference(m: Matrix, a: Matrix, b: Matrix) -> RecognitionResul
     return RecognitionResult(True, KIND_CONE, YesCertificate(a=a, b=b))
 
 
+def cone_match_fraction_reference(m: Matrix, a: Matrix,
+                                  b: Matrix) -> RecognitionResult:
+    """`ccgc_fraction_reference` on the side with fewer distinct nonzero
+    generators: when b's columns are strictly fewer than a's rows, the CCGC
+    of m^T = b^T a^T, with its NO certificate restated in the row convention."""
+    def distinct(vectors):
+        return len({_ray_key(v) for v in vectors if not is_zero_vec(v)})
+
+    if distinct(b.columns()) >= distinct(a.data):
+        return ccgc_fraction_reference(m, a, b)
+    res = ccgc_fraction_reference(m.transpose(), b.transpose(), a.transpose())
+    if res.verdict:
+        return RecognitionResult(True, KIND_CONE, YesCertificate(a=a, b=b))
+    cert = replace(res.certificate, convention="row")
+    return RecognitionResult(False, KIND_CONE, cert)
+
+
 def reconstruct_fraction_reference(m: Matrix, a: Matrix, b: Matrix, c: Vec):
     """(V, H, a U, U^-1 b) for U = [c | e_j, j != i0], by Fraction rows."""
     k = a.cols
@@ -391,7 +409,7 @@ def polytope_slack_fraction_reference(m: Matrix) -> RecognitionResult:
         z = next(z for z in left_kernel_basis(a) if dot(z, ones(m.rows)) != 0)
         cert = NoCertificate(ONES_NOT_IN_SPAN, witness=z)
         return RecognitionResult(False, KIND_POLYTOPE, cert)
-    base = ccgc_fraction_reference(m, a, b)
+    base = cone_match_fraction_reference(m, a, b)
     if not base.verdict:
         return RecognitionResult(False, KIND_POLYTOPE, base.certificate)
     mu = [F(0)] * m.cols

@@ -64,6 +64,18 @@ class TestCheckCommands:
         assert out.startswith("CONE-SLACK no")
         assert run(["verify-cert", f, str(cert)]) == 0
 
+    def test_row_convention_certificate_verifies(self, tmp_path, capsys):
+        # The 3-cube less one facet: 5 columns of B against 8 rows of A, so
+        # the refuting ray comes from B's side, in the row convention.
+        m = Matrix([v[1:] + tuple(1 - x for x in v)
+                    for v in itertools.product((0, 1), repeat=3)], cols=5)
+        f = write_doc(tmp_path / "c.matrix", m)
+        cert = tmp_path / "c.cert"
+        assert run(["check-cone", f, "--quiet", "--certificate", str(cert)]) == 1
+        assert cert.read_text().startswith("CERT NO unmatched_ray row\n")
+        assert run(["verify-cert", f, str(cert)]) == 0
+        assert capsys.readouterr().out == "CERT valid\n"
+
     def test_zero_matrix_certificate_verifies(self, tmp_path, capsys):
         f = write_doc(tmp_path / "z.matrix", Matrix.zero(2, 3))
         cert = tmp_path / "z.cert"

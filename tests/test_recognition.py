@@ -40,7 +40,7 @@ from slackmat.recognition import (
 from slackmat.verification import verify_polytope_equality
 
 from oracles import (
-    ccgc_fraction_reference,
+    cone_match_fraction_reference,
     polar_realization_fraction_reference,
     polar_realization_wide_reference,
     polar_scale_reference,
@@ -179,6 +179,43 @@ class TestRankCoordinates:
             assert dd_dims == ([r] if reaches_ccgc else [])
             if not verdict:
                 assert verify_no_certificate(m, res.certificate)
+
+
+CUBE3 = cube_slack(3)
+CUBE3_MINUS_FACET = CUBE3.submatrix(range(CUBE3.rows), range(1, CUBE3.cols))
+PRISM_COLUMNS_TWICE = Matrix([r + r for r in PRISM.data], cols=2 * PRISM.cols)
+
+
+class TestConeMatchSide:
+    """ccgc_check runs its one DD on the factor with fewer distinct
+    generators, as verify_yes_certificate does: B's columns when they are
+    strictly fewer than A's rows.  A ray from B's side is refuted in the row
+    convention."""
+
+    @pytest.fixture
+    def dd_rows(self, monkeypatch):
+        _cold()
+        seen, dd = [], recognition._dd
+        monkeypatch.setattr(recognition, "_dd",
+                            lambda rows, n: seen.append(len(rows)) or dd(rows, n))
+        return seen
+
+    @pytest.mark.parametrize("m, rows", [
+        (CUBE3, 6),
+        (cyclic_slack(10, 4).transpose(), 10),
+        (PRISM_COLUMNS_TWICE, 5),
+    ], ids=["cube3-8x6", "cyclic10-4-transpose-35x10", "prism-columns-twice-6x10"])
+    def test_dd_on_the_smaller_side(self, dd_rows, m, rows):
+        assert ccgc_check(m).verdict
+        assert dd_rows == [rows]
+
+    def test_b_side_certificate_is_row_convention(self, dd_rows):
+        res = ccgc_check(CUBE3_MINUS_FACET)
+        assert not res.verdict and dd_rows == [5]
+        cert = res.certificate
+        assert (cert.reason, cert.convention) == (UNMATCHED_RAY, "row")
+        assert len(cert.witness) == CUBE3_MINUS_FACET.cols
+        assert verify_no_certificate(CUBE3_MINUS_FACET, cert)
 
 
 class TestCombinatorialAdjacency:
@@ -868,7 +905,7 @@ class TestIntegerCore:
             res = is_polytope_slack(m)
             assert _cert_text(res) == _cert_text(polytope_slack_fraction_reference(m))
             cone = ccgc_check(m)
-            ref = ccgc_fraction_reference(m, *rank_factorization(m))
+            ref = cone_match_fraction_reference(m, *rank_factorization(m))
             assert _cert_text(cone) == _cert_text(ref)
             polar = _polar_outcome(polar_realization, m)
             assert polar == _polar_outcome(polar_realization_fraction_reference, m)
