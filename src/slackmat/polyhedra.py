@@ -27,17 +27,17 @@ from typing import Optional, Sequence
 from .matrix import (
     Matrix,
     Vec,
+    _cleared,
+    _echelon,
+    _kernel_basis,
     dot,
     integer_vec,
-    is_zero_vec,
     primitive,
     rank,
     rref,
-    solve_linear,
     unit,
     vec,
     vscale,
-    vsub,
 )
 from . import lp
 from .lp import Constraint
@@ -125,19 +125,6 @@ def _lineality_rref_basis(vectors: Sequence[Vec], n: int) -> tuple[Vec, ...]:
     return tuple(r.data[i] for i in range(rk))
 
 
-def _project_off(v: Vec, basis: Sequence[Vec]) -> Vec:
-    """Orthogonal projection of v onto the complement of span(basis)."""
-    if not basis:
-        return v
-    g = Matrix([[dot(a, b) for b in basis] for a in basis], cols=len(basis))
-    rhs = [dot(a, v) for a in basis]
-    coeff = solve_linear(g, rhs)
-    out = v
-    for c, b in zip(coeff, basis):
-        out = vsub(out, vscale(c, b))
-    return out
-
-
 def _dd(rows: Sequence[tuple[int, ...]], n: int):
     """Double description of {x in R^n : b.x >= 0} over primitive int rows:
     (rays, lin), the extreme rays as (primitive int ray, zero set) pairs, bit
@@ -184,21 +171,20 @@ def _dd(rows: Sequence[tuple[int, ...]], n: int):
 def dd_h_to_v(h: ConeRep) -> ConeRep:
     """Minimal V-representation of an H-form cone via double description.
 
-    Output rays are canonical, live in the orthogonal complement of the
-    lineality space, and are sorted; the lineality basis is in RREF.
+    The lineality space is the kernel of the rows, read off one elimination.
+    The DD runs on the rows plus that kernel's equations (each basis vector
+    and its negation), so its cone is the pointed part C cap L^perp, whose
+    extreme rays are the output rays: canonical, orthogonal to the lineality
+    space, and sorted.  The lineality basis is in RREF.
     """
     if h.form != "H":
         raise ValueError("expected H-form cone")
     n = h.ambient_dim
-    rays, lin = _dd([primitive(integer_vec(b)[0]) for b in h.vectors], n)
-    lin_basis = _lineality_rref_basis(lin, n) if lin else ()
-    out = []
-    for r, _ in rays:
-        pr = _project_off(r, lin_basis)
-        if not is_zero_vec(pr):
-            out.append(canonical_ray(pr))
-    out = sorted(set(out))
-    return ConeRep("V", n, tuple(out), lin_basis)
+    rows = [primitive(integer_vec(b)[0]) for b in h.vectors]
+    lin = _cleared(_kernel_basis(*_echelon(list(rows), n), n))
+    rays, _ = _dd(rows + lin + [tuple(-x for x in v) for v in lin], n)
+    out = sorted({canonical_ray(r) for r, _ in rays})
+    return ConeRep("V", n, tuple(out), _lineality_rref_basis(lin, n))
 
 
 def dd_v_to_h(v: ConeRep) -> ConeRep:

@@ -27,17 +27,13 @@ from slackmat.matrix import (
     rank,
     rank_factorization,
     right_kernel_basis,
+    rref,
     solve_linear,
     unit,
     vscale,
     vsub,
 )
-from slackmat.polyhedra import (
-    _lineality_rref_basis,
-    _project_off,
-    dd_h_to_v,
-    dimension,
-)
+from slackmat.polyhedra import dd_h_to_v, dimension
 from slackmat.recognition import (
     KIND_CONE,
     KIND_POLYTOPE,
@@ -203,11 +199,32 @@ def polar_scale_reference(m: Matrix):
     return sum(out.point, F(0))
 
 
+def lineality_rref_reference(vectors, n: int) -> tuple[Vec, ...]:
+    """The nonzero rows of the RREF of the vectors: a canonical basis of
+    their span."""
+    r, _, rk = rref(Matrix(vectors, cols=n))
+    return tuple(r.data[i] for i in range(rk))
+
+
+def project_off_reference(v: Vec, basis) -> Vec:
+    """Orthogonal projection of v onto the complement of span(basis), by
+    one solve of the Gram system."""
+    if not basis:
+        return v
+    g = Matrix([[dot(a, b) for b in basis] for a in basis], cols=len(basis))
+    coeff = solve_linear(g, [dot(a, v) for a in basis])
+    out = v
+    for c, b in zip(coeff, basis):
+        out = vsub(out, vscale(c, b))
+    return out
+
+
 def dd_h_to_v_rank_reference(h: ConeRep) -> ConeRep:
     """Double description with the exact rank test for ray adjacency: a
     negative and a positive ray are adjacent iff the inserted rows tight on
     both have rank n - dim(lineality) - 2.  Same output contract as
-    `dd_h_to_v`.
+    `dd_h_to_v`, met another way: the rays of the pointed quotient are
+    projected off the lineality space by a Gram solve each.
 
     Output rays are canonical, live in the orthogonal complement of the
     lineality space, and are sorted; the lineality basis is in RREF.
@@ -251,10 +268,10 @@ def dd_h_to_v_rank_reference(h: ConeRep) -> ConeRep:
                             new_rays.append(canonical_ray(comb))
                 rays = new_rays
         inserted.append(b)
-    lin_basis = _lineality_rref_basis(lin, n) if lin else ()
+    lin_basis = lineality_rref_reference(lin, n) if lin else ()
     out = []
     for r in rays:
-        pr = _project_off(r, lin_basis)
+        pr = project_off_reference(r, lin_basis)
         if not is_zero_vec(pr):
             out.append(canonical_ray(pr))
     out = sorted(set(out))
@@ -263,8 +280,9 @@ def dd_h_to_v_rank_reference(h: ConeRep) -> ConeRep:
 
 def polytope_slack_wide_reference(m: Matrix) -> RecognitionResult:
     """`is_polytope_slack` by the wide route: m mu = 1 solved on m itself,
-    the all-ones witness taken from the left kernel of m, and the basis
-    change done by an explicit inverse.  Same output contract."""
+    the all-ones witness taken from the left kernel of m, the cone match of
+    `cone_match_fraction_reference`, and the basis change done by an
+    explicit inverse.  Same output contract."""
     if not m.is_nonnegative():
         raise ValueError("matrix has a negative entry")
     a, b = rank_factorization(m)
@@ -278,7 +296,7 @@ def polytope_slack_wide_reference(m: Matrix) -> RecognitionResult:
         )
         cert = NoCertificate(ONES_NOT_IN_SPAN, witness=z)
         return RecognitionResult(False, KIND_POLYTOPE, cert)
-    base = ccgc_fraction_reference(m, a, b)
+    base = cone_match_fraction_reference(m, a, b)
     if not base.verdict:
         return RecognitionResult(False, KIND_POLYTOPE, base.certificate)
     k = a.cols

@@ -22,12 +22,11 @@ from slackmat import (
     slack_of_cone,
     slack_of_polytope,
 )
+from slackmat import matrix
 from slackmat.matrix import dot, integer_vec, primitive, rank, unit
 from slackmat.polyhedra import (
     EmptyPolyhedronError,
     _dd,
-    _lineality_rref_basis,
-    _project_off,
     _slack_numerators,
     _table_is_scaled,
     contains_origin_interior,
@@ -50,7 +49,9 @@ from golden import (
 from oracles import (
     brute_force_rays,
     dd_h_to_v_rank_reference,
+    lineality_rref_reference,
     origin_interior_lp_reference,
+    project_off_reference,
 )
 from randgen import random_polytope, random_v_polytope_about_origin, rng
 
@@ -161,6 +162,57 @@ class TestLinealityAndPointedness:
             c = ConeRep("V", n, gens)
             d = len(minimal_vrep(c).lineality)
             assert lineality_and_pointedness(c) == (d, d == 0)
+
+
+E2 = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+class TestDegenerateInputs:
+    """Empty ambient spaces, no rows, zero rows, a pair of opposite rows and
+    an entry far beyond float range, through each conversion: the vectors
+    are read as H rows and as V generators."""
+
+    @pytest.mark.parametrize("n, vectors, h_to_v, v_to_h, minimal, lin_h, lin_v", [
+        (0, (), ((), ()), (), ((), ()), (0, True), (0, True)),
+        (0, ((),), ((), ()), (), ((), ()), (0, True), (0, True)),
+        (2, (), ((), ((1, 0), (0, 1))), E2, ((), ()), (2, False), (0, True)),
+        (2, ((0, 0),), ((), ((1, 0), (0, 1))), E2, ((), ()), (2, False), (0, True)),
+        (2, ((1, -1), (-1, 1)), ((), ((1, 1),)), ((1, 1), (-1, -1)),
+         ((), ((1, -1),)), (1, False), (1, False)),
+        (1, ((10**400,),), (((1,),), ()), ((1,),), (((1,),), ()), (0, True), (0, True)),
+    ], ids=["R0-no-rows", "R0-empty-row", "R2-no-rows", "R2-zero-row",
+            "opposite-pair", "R1-huge"])
+    def test_outputs(self, n, vectors, h_to_v, v_to_h, minimal, lin_h, lin_v):
+        h, v = ConeRep("H", n, vectors), ConeRep("V", n, vectors)
+        assert dd_h_to_v(h) == ConeRep("V", n, *h_to_v)
+        assert dd_v_to_h(v) == ConeRep("H", n, v_to_h)
+        assert minimal_vrep(v) == ConeRep("V", n, *minimal)
+        assert lineality_and_pointedness(h) == lin_h
+        assert lineality_and_pointedness(v) == lin_v
+
+
+class TestNoLinearSolve:
+    """The lineality is cut by equations inside the one DD, so no ray is
+    projected off it by a linear solve."""
+
+    def test_conversions_solve_no_system(self, monkeypatch):
+        calls, solve = [], matrix.solve_linear
+        for name, mod in list(sys.modules.items()):
+            if name == "slackmat" or name.startswith("slackmat."):
+                for attr, value in list(vars(mod).items()):
+                    if value is solve:
+                        monkeypatch.setattr(mod, attr,
+                                            lambda a, b: calls.append(a) or solve(a, b))
+        # The points of C(12,4) in R^8, three coordinates free: lineality 3.
+        cyclic = ConeRep("H", 8, tuple((1, t, t**2, t**3, t**4, 0, 0, 0)
+                                       for t in range(1, 13)))
+        v = dd_h_to_v(cyclic)
+        assert len(v.lineality) == 3 and len(v.vectors) == 54
+        assert len(dd_h_to_v(ConeRep("H", 3, ((1, 0, 0),))).lineality) == 2
+        ray = ConeRep("V", 3, ((1, 0, 0),))  # its dual has a lineality of 2
+        assert len(dd_v_to_h(ray).vectors) == 5
+        assert minimal_vrep(ray) == ConeRep("V", 3, ((1, 0, 0),))
+        assert calls == []
 
 
 class TestHomogenize:
@@ -520,8 +572,9 @@ def check_dd_core(h, want):
         slacks = [sum(a * b for a, b in zip(row, y)) for row in rows]
         assert min(slacks, default=0) >= 0
         assert z == sum(1 << k for k, x in enumerate(slacks) if x == 0)
-    assert (_lineality_rref_basis(lin, n) if lin else ()) == want.lineality
-    projected = [canonical_ray(_project_off(y, want.lineality)) for y, _ in rays]
+    assert (lineality_rref_reference(lin, n) if lin else ()) == want.lineality
+    projected = [canonical_ray(project_off_reference(y, want.lineality))
+                 for y, _ in rays]
     assert sorted(projected) == list(want.vectors)
 
 

@@ -705,7 +705,8 @@ class TestRankCoordinateSolves:
 
     def test_identical_to_wide_route(self):
         r = rng(6)
-        inputs = [CUBE4, CUBE4_CENTRED, C85]
+        inputs = [CUBE4, CUBE4_CENTRED, C85, CUBE3_MINUS_FACET,
+                  CUBE3_MINUS_FACET.transpose()]
         while len(inputs) < 1000:
             v, h = random_polytope(r, max_dim=3, max_vertices=7)
             s = slack_of_polytope(v, h)
