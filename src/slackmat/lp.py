@@ -74,17 +74,17 @@ def check_farkas(constraints: Sequence[Constraint], t: Sequence[Fraction]) -> bo
 
 def _pivot(tab: list[list[Fraction]], obj: list[Fraction], r: int, j: int,
            basis: list[int]) -> None:
+    # Every other row, and the objective, changes only on the pivot row's
+    # nonzero columns: most of a row lies in the slack and artificial
+    # identity blocks, where the pivot row is zero.
     pv = tab[r][j]
-    tab[r] = [x / pv for x in tab[r]]
-    prow = tab[r]
-    for i in range(len(tab)):
-        if i != r and tab[i][j] != 0:
-            f = tab[i][j]
-            tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
-    if obj[j] != 0:
-        f = obj[j]
-        for k in range(len(obj)):
-            obj[k] -= f * prow[k]
+    prow = tab[r] = [x / pv for x in tab[r]]
+    support = [k for k, y in enumerate(prow) if y]
+    for row in (*tab, obj):
+        f = row[j]
+        if f and row is not prow:
+            for k in support:
+                row[k] -= f * prow[k]
     basis[r] = j
 
 

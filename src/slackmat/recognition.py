@@ -218,11 +218,12 @@ def _recognized(m: Matrix) -> _Echelon:
     (weakref, e), keyed by identity, replaced whole, dropped when m dies.
     The entry keeps e's answers once they are decided."""
     global _last
-    if _last is None or _last[0]() is not m:
+    last = _last  # read once: the entry checked is the entry returned
+    if last is None or last[0]() is not m:
         _require_nonnegative(m)
         e = _eliminate_rows(tuple(integer_vec(r) for r in m.data), m.cols)
-        _last = (weakref.ref(m, _forget), e)
-    return _last[1]
+        last = _last = (weakref.ref(m, _forget), e)
+    return last[1]
 
 
 def ccgc_check(m: Matrix) -> RecognitionResult:

@@ -166,6 +166,54 @@ def in_convex_hull(point, points):
     return False
 
 
+def _unique_combination(generators, target):
+    """The unique x with sum x_i g_i = target, by Fraction elimination; None
+    when the generators are linearly dependent or miss the target."""
+    k = len(generators)
+    rows = [[F(g[j]) for g in generators] + [F(t)] for j, t in enumerate(target)]
+    for c in range(k):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        pv = rows[c][c]
+        rows[c] = [x / pv for x in rows[c]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != c and f:
+                rows[i] = [x - f * y for x, y in zip(row, rows[c])]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return [row[k] for row in rows[:k]]
+
+
+def in_cone(vector, generators):
+    """Membership of a vector in cone(generators) by Caratheodory
+    enumeration: the vector is in the cone iff some linearly independent
+    subset carries it with nonnegative coefficients (a unique exact solve)."""
+    if not any(vector):
+        return True
+    for size in range(1, min(len(generators), len(vector)) + 1):
+        for subset in combinations(generators, size):
+            x = _unique_combination(subset, vector)
+            if x is not None and all(v >= 0 for v in x):
+                return True
+    return False
+
+
+def implicit_equalities_tangent_reference(q: PolytopeRep, p: PolytopeRep) -> list[Vec]:
+    """Normals of the rows a.x <= beta of P, among the rows T tight at every
+    point of Q (Q inside P), that are tight on all of P; no LP and no DD.
+
+    Exactly the rows of T are tight at Q's centroid, so near it P is the
+    centroid plus the tangent cone {d : a_T d <= 0}.  Row j of T is tight on
+    all of P iff a_j.d >= 0 on that cone, that is, by Farkas, iff -a_j lies
+    in cone{a_i : i in T}."""
+    tight = [a for beta, a in p.inequalities()
+             if all(dot_reference(a, x) == beta for x in q.points())]
+    return [a for a in tight if in_cone(tuple(-x for x in a), tight)]
+
+
 def origin_interior_lp_reference(p: PolytopeRep) -> bool:
     """0 in the interior of a V-polytope by the LP route: full affine rank,
     and a convex combination of the points hitting 0 with every weight at

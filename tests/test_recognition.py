@@ -1034,6 +1034,23 @@ class TestRecognitionCache:
             assert is_polytope_slack(m).verdict
         assert work == {"_echelon": 3, "_dd": 3}
 
+    def test_entry_read_once(self):
+        # The entry is replaced between its key check and its use: the
+        # answer must still be the elimination of the entry that matched m.
+        m, other = _copy(PRISM), _copy(CUBE4)
+        e = recognition._recognized(m)
+        other_entry = (weakref.ref(other), recognition._recognized(other))
+
+        def swapping():
+            recognition._last = other_entry
+            return m
+
+        recognition._last = (swapping, e)
+        try:
+            assert recognition._recognized(m) is e
+        finally:
+            _cold()
+
     def test_no_lifetime_extension(self):
         m = _copy(PRISM)
         res = is_polytope_slack(m)

@@ -31,8 +31,19 @@ from golden import (
     SQUARE_FACETS,
     SQUARE_VERTICES,
 )
-from oracles import verify_equality_fraction_reference
-from randgen import edge, embed, on_facet, random_polytope, rng
+from oracles import (
+    implicit_equalities_tangent_reference,
+    verify_equality_fraction_reference,
+)
+from randgen import (
+    edge,
+    embed,
+    on_facet,
+    random_polytope,
+    rng,
+    verification_edge_cases,
+    verification_variants,
+)
 
 
 class TestContainment:
@@ -231,6 +242,30 @@ class TestLpCount:
         zero = [j for j in range(s.cols) if all(row[j] == 0 for row in s.data)]
         verify_polytope_equality(q, p)
         assert tight_rows == [zero] == [want]
+
+
+class TestImplicitEqualities:
+    """The LP route to P's implicit equalities against the tangent cone at
+    Q's centroid, on the 1,000-pair parity inputs of each generator."""
+
+    @pytest.mark.parametrize("generator, seed", [
+        (verification_variants, 14), (verification_edge_cases, 15),
+    ], ids=["variants", "edge-cases"])
+    def test_identical_to_tangent_cone_route(self, generator, seed):
+        r = rng(seed)
+        pairs, kinds = 0, set()
+        while pairs < 1000:
+            for q, p in generator(r):
+                pairs += 1
+                s = slack_of_polytope(q, p)
+                zero = [j for j in range(s.cols) if all(row[j] == 0 for row in s.data)]
+                if zero:
+                    got = polyhedra._implicit_equalities(
+                        polyhedra._h_polytope_constraints(p), zero)
+                    assert got == implicit_equalities_tangent_reference(q, p)
+                    kinds.add("none" if not got else "all" if len(got) == len(zero)
+                              else "some")
+        assert kinds >= {"none", "all"}
 
 
 class TestRankShortcut:
