@@ -130,6 +130,10 @@ def lp_solve(objective: Sequence, constraints: Sequence[Constraint],
     ncols = nstruct + m  # artificials at the end
     sigma: list[int] = []
     tab: list[list[Fraction]] = []
+    # Phase 1 minimizes the sum of artificials; its reduced costs are that
+    # cost less the sum of the rows, each summed over its own nonzeros: x,
+    # its slack and the rhs (an artificial's cost and entry cancel).
+    obj = [Fraction(0)] * (ncols + 1)
     slack_pos = 0
     for i, ci in enumerate(constraints):
         s = -1 if ci.rhs < 0 else 1
@@ -140,19 +144,18 @@ def lp_solve(objective: Sequence, constraints: Sequence[Constraint],
         for k in range(n):
             row[k] = a[k]
             row[n + k] = -a[k]
+        support = [*range(2 * n), ncols]
         if ci.rel != EQ:
             row[2 * n + slack_pos] = Fraction(1) if rel == LE else Fraction(-1)
+            support.append(2 * n + slack_pos)
             slack_pos += 1
         row[nstruct + i] = Fraction(1)
         row[-1] = s * ci.rhs
         tab.append(row)
+        for k in support:
+            obj[k] -= row[k]
     basis = [nstruct + i for i in range(m)]
 
-    # Phase 1: minimize the sum of artificials.
-    cost1 = [Fraction(0)] * nstruct + [Fraction(1)] * m
-    obj = cost1 + [Fraction(0)]
-    for i in range(m):
-        obj = [x - y for x, y in zip(obj, tab[i])]
     _simplex(tab, obj, basis)
     if -obj[-1] > 0:
         # y_i = 1 - reduced cost of artificial i; map back to the input rows.

@@ -272,15 +272,26 @@ def slack_of_polytope(v: PolytopeRep, h: PolytopeRep) -> Matrix:
     return Matrix(rows, cols=len(h.vectors))
 
 
-def _table_is_scaled(slack, rows: Sequence[tuple[Sequence[int], int]],
+def _table_is_scaled(v: PolytopeRep, h: PolytopeRep, rows: Sequence[Vec],
                      scale: Fraction) -> bool:
-    """Whether a slack table, cleared rows as `_slack_numerators` yields
-    them, is scale times the matrix whose rows are given cleared, as
-    (ints, d) pairs like `integer_vec`'s, decided by cross-multiplying ints."""
-    s, t = scale.numerator, scale.denominator
-    return len(slack) == len(rows) and all(
-        len(nums) == len(row) and all(x * t * e == s * y * d for x, y in zip(nums, row))
-        for (nums, d), (row, e) in zip(slack, rows))
+    """Whether slack_of_polytope(v, h) is scale times the matrix with these
+    Fraction rows, decided by cross-multiplying ints.  Each point and each
+    H row is cleared over its own denominator, not one lcm over all H rows,
+    so positive column scalings of the matrix do not add up in one integer."""
+    s, t = scale.as_integer_ratio()
+    ineqs = [integer_vec(r) for r in h.vectors]
+    if len(v.vectors) != len(rows):
+        return False
+    for pt, row in zip(v.vectors, rows):
+        if len(row) != len(ineqs):
+            return False
+        p, dp = integer_vec(pt)
+        w, sdp = (dp,) + tuple([-x for x in p]), s * dp
+        for (a, e), y in zip(ineqs, row):
+            yn, yd = y.as_integer_ratio()
+            if sum(map(mul, a, w)) * t * yd != yn * sdp * e:
+                return False
+    return True
 
 
 def _h_polytope_constraints(h: PolytopeRep) -> list[Constraint]:

@@ -10,10 +10,14 @@ The test runs in the coordinates of one rank factorization M = A B: the CCGC
 holds iff every extreme ray of {y : A y >= 0} is a positive multiple of a
 column of B, or dually iff every one of {z : z B >= 0} is one of a row of A;
 one DD runs on the smaller side.  An unmatched ray is refuted by a separator
-written down in closed form, without a second cone conversion.  One
-fraction-free elimination of [M | 1], on M cleared to ints once, gives the
-rank, A, B and the c with A c = 1 (or shows 1 is not in the column span):
-one record, `_Echelon`, that answers both questions at most once, on ints.
+written down in closed form, without a second cone conversion.
+
+Both questions are decided on one record (`echelon._Echelon`): one
+fraction-free elimination of M's spanning-forest normal form, whose
+integers do not grow with positive row and column scalings of M.  It gives
+the rank, A, B and the c with A c = 1 (or shows 1 is not in the column
+span), answers both questions at most once, on ints, and states every
+answer in M's coordinates.
 
 Every verdict ships a certificate: an exact rank factorization on yes, a
 point-and-separator witness (or a span/rank witness for the polytope-only
@@ -27,23 +31,30 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Optional
 
+from .echelon import (
+    ONES_NOT_IN_SPAN,
+    RANK_TOO_SMALL,
+    UNMATCHED_RAY,
+    NoCertificate,
+    _cone_match,
+    _Echelon,
+    _eliminate,
+    _normal_form,
+    _over_lcm,
+)
 from .matrix import (
     Matrix,
     Vec,
     _cleared,
     _echelon,
-    _kernel_basis,
     dot,
     integer_vec,
     is_zero_vec,
     ones,
-    primitive,
     rank,
     right_kernel_basis,
     unit,
@@ -54,21 +65,13 @@ from .matrix import (
 from .polyhedra import (
     ConeRep,
     PolytopeRep,
-    _dd,
-    _slack_numerators,
     _table_is_scaled,
-    canonical_ray,
     slack_of_polytope,
     vertices_of_h_polytope,
 )
 
 KIND_CONE = "cone"
 KIND_POLYTOPE = "polytope"
-
-UNMATCHED_RAY = "unmatched_ray"
-ONES_NOT_IN_SPAN = "ones_not_in_span"
-RANK_TOO_SMALL = "rank_too_small"
-
 
 @dataclass(frozen=True)
 class YesCertificate:
@@ -81,27 +84,6 @@ class YesCertificate:
 
 
 @dataclass(frozen=True)
-class NoCertificate:
-    """Witness refuting the slack-matrix claim.
-
-    reason UNMATCHED_RAY: `witness` lies in the relevant span intersected
-    with the nonnegative orthant while `separator` is nonnegative on every
-    generator of the claimed cone and negative on the witness.  The
-    convention names those generators, rows or columns (rows: from B's side).
-
-    reason ONES_NOT_IN_SPAN: `witness` annihilates the matrix from the left
-    but not the all-ones vector, so no polytope realization exists.
-
-    reason RANK_TOO_SMALL: rank below two never comes from a polytope.
-    """
-
-    reason: str
-    convention: str = "column"
-    witness: Optional[Vec] = None
-    separator: Optional[Vec] = None
-
-
-@dataclass(frozen=True)
 class RecognitionResult:
     verdict: bool
     kind: str
@@ -111,97 +93,6 @@ class RecognitionResult:
 def _require_nonnegative(m: Matrix) -> None:
     if not m.is_nonnegative():
         raise ValueError("matrix has a negative entry")
-
-
-@dataclass(frozen=True)
-class _Echelon:
-    """One fraction-free elimination of [M | 1], which decides M's CCGC
-    (`unmatched`) and its polytope question (`polytope_no`) at most once."""
-
-    rows: tuple  # M's rows cleared once: (ints, d), row i of M is ints / d
-    pivots: tuple  # M's pivot columns; A is M on them, and M = A B
-    b: tuple  # B, the RREF of M less its zero rows, is b / den in ints
-    c: Optional[tuple]  # A c = 1 for c / den; None if 1 is not in the span
-    den: int
-
-    @cached_property
-    def unmatched(self) -> Optional[NoCertificate]:
-        """The CCGC of M = A B: None, or the certificate refuting it."""
-        # A is injective and B onto, so either side's cone is pointed.
-        cols = _columns(self.rows)
-        a = list(zip(*(cols[j] for j in self.pivots)))  # A over one denominator
-        bt = list(zip(*self.b))
-        side, _, y = _cone_match(a, bt, len(self.pivots))
-        if y is None:
-            return None
-        # x = A y, separated from M's columns, or x = y B, from M's rows.
-        f, gens = (a, cols) if side == "column" else (bt, [r for r, _ in self.rows])
-        x = canonical_ray([sum(map(mul, v, y)) for v in f])
-        return NoCertificate(UNMATCHED_RAY, side, x, _separator(gens, x))
-
-    @cached_property
-    def polytope_no(self) -> Optional[NoCertificate]:
-        """M's polytope NO certificate, or None; the CCGC is decided last."""
-        if len(self.pivots) < 2:
-            return NoCertificate(RANK_TOO_SMALL)
-        if self.c is None:
-            # z m = 0 iff z a = 0; the rows of a^T are m's pivot columns.
-            cols, p = _columns(self.rows), len(self.rows)
-            at = [primitive(cols[j]) for j in self.pivots]
-            z = next(z for z in _kernel_basis(*_echelon(at, p), p) if sum(z) != 0)
-            return NoCertificate(ONES_NOT_IN_SPAN, witness=z)
-        return self.unmatched
-
-
-def _cone_match(rows, cols, k: int) -> tuple[str, list, Optional[tuple[int, ...]]]:
-    """(side, lin, y): cone(cols) = {y : rows.y >= 0} iff {x : x.cols >= 0}
-    = cone(rows), so one DD runs on the side with fewer distinct nonzero
-    primitive vectors, "column" on rows (on a tie) or "row" on cols; y is its
-    first ray in canonical order no positive multiple of the other side's."""
-    rows, cols = ({primitive(v): None for v in vs if any(v)} for vs in (rows, cols))
-    side, rows, cols = (("column", rows, cols) if len(rows) <= len(cols)
-                        else ("row", cols, rows))
-    rays, lin = _dd(list(rows), k)
-    return side, lin, min((y for y, _ in rays if y not in cols), key=canonical_ray,
-                          default=None)
-
-
-def _eliminate_rows(rows: tuple, q: int) -> _Echelon:
-    """The elimination of [M | 1], M's q columns given as (ints, d) rows."""
-    ech, pivots = _echelon([primitive(r + (d,)) for r, d in rows], q + 1)
-    spans = q not in pivots
-    pivots = pivots if spans else pivots[:-1]
-    # Row i of the RREF is ech[i] / ech[i][pivots[i]]: ints over the lcm.
-    den = lcm(*(r[pc] for r, pc in zip(ech, pivots)))
-    bc = [[x * (den // r[pc]) for x in r] for r, pc in zip(ech, pivots)]
-    return _Echelon(rows, pivots, tuple(tuple(r[:q]) for r in bc),
-                    tuple(r[q] for r in bc) if spans else None, den)
-
-
-def _columns(rows) -> list[tuple[int, ...]]:
-    """M's columns as ints over one denominator, from its cleared rows."""
-    d = lcm(*(e for _, e in rows))
-    return list(zip(*([x * (d // e) for x in r] for r, e in rows)))
-
-
-def _separator(gens, x: Vec) -> Vec:
-    """h = t - eps x, nonnegative on the generators and negative on x.
-
-    t indicates the zero set of the unmatched extreme ray x; a nonzero
-    generator g with t . g = 0 would be a multiple of x, so eps > 0 exists.
-    """
-    # With x = p / d and a generator scaled to ints C, t.g / x.g is
-    # d (t.C) / (p.C), whatever the scale; eps = d en / ed is the least, or 1.
-    p, d = integer_vec(x)
-    least = None
-    for c in gens:
-        s = sum(map(mul, p, c))
-        if s > 0:
-            t = sum(y for y, pi in zip(c, p) if pi == 0)
-            if least is None or t * least[1] < least[0] * s:
-                least = (t, s)
-    en, ed = least or (1, d)
-    return tuple(Fraction(ed * (pi == 0) - en * pi, ed) for pi in p)
 
 
 _last: Optional[tuple] = None
@@ -221,7 +112,7 @@ def _recognized(m: Matrix) -> _Echelon:
     last = _last  # read once: the entry checked is the entry returned
     if last is None or last[0]() is not m:
         _require_nonnegative(m)
-        e = _eliminate_rows(tuple(integer_vec(r) for r in m.data), m.cols)
+        e = _eliminate(*_normal_form(m))
         last = _last = (weakref.ref(m, _forget), e)
     return last[1]
 
@@ -238,8 +129,8 @@ def ccgc_check(m: Matrix) -> RecognitionResult:
     e = _recognized(m)
     if e.unmatched:
         return RecognitionResult(False, KIND_CONE, e.unmatched)
-    b = Matrix._of(tuple(tuple(Fraction(x, e.den) for x in r) for r in e.b), m.cols)
-    cert = YesCertificate(a=m.submatrix(range(m.rows), e.pivots), b=b)
+    b = e.in_m(e.b, e.den, [e.d2[j] for j in e.pivots])
+    cert = YesCertificate(a=m.submatrix(range(m.rows), e.pivots), b=Matrix._of(b, m.cols))
     return RecognitionResult(True, KIND_CONE, cert)
 
 
@@ -334,9 +225,9 @@ def verify_yes_certificate(m: Matrix, cert: YesCertificate) -> bool:
                 return False
     except ValueError:  # mis-shaped blocks, or a V point outside the H-polytope
         return False
-    _, lin, y = _cone_match((integer_vec(r)[0] for r in a.data),
-                            (integer_vec(c)[0] for c in b.columns()), a.cols)
-    return not lin and y is None
+    _, lin, rays = _cone_match((integer_vec(r)[0] for r in a.data),
+                               (integer_vec(c)[0] for c in b.columns()), a.cols)
+    return not lin and not rays
 
 
 def reconstruct_cone(m: Matrix) -> tuple[ConeRep, ConeRep]:
@@ -366,12 +257,14 @@ def _basis_change(bs, e: int, cs, f: int, i0: int):
 def _certificate(m: Matrix, e: _Echelon, factors=None) -> YesCertificate:
     """mu, and the factors a U, U^-1 b with the polytope they realize, for
     the elimination's m = a b or for supplied factors."""
-    # b is the RREF of m, so mu is c placed on its pivot columns.
+    # b is the RREF of m, so mu is c placed on its pivot columns, where M's
+    # c is d2[p_i] c_i / cden.
     c = dict(zip(e.pivots, e.c))
-    mu = tuple(Fraction(c.get(j, 0), e.den) for j in range(m.cols))
+    mu = tuple(Fraction(c[j] * u, v * e.cden) if j in c else Fraction(0)
+               for j, (u, v) in enumerate(e.d2))
     if factors is None:
         a = tuple(tuple(row[j] for j in e.pivots) for row in m.data)
-        bs, be, cs, ce = e.b, e.den, e.c, e.den
+        bs, be, cs, ce = e.b, e.den, e.c, e.cden
     else:
         a, b = factors[0].data, factors[1]
         flat, be = integer_vec([x for row in b.data for x in row])
@@ -379,13 +272,19 @@ def _certificate(m: Matrix, e: _Echelon, factors=None) -> YesCertificate:
         cs, ce = integer_vec(b.matvec(mu))
     i0 = next(i for i, x in enumerate(cs) if x != 0)
     rows, d = _basis_change(bs, be, cs, ce, i0)
+    if factors is None:
+        # U^-1 B_M is N's with row j != i0 times d2[p_j], column j over d2[j].
+        piv = [e.d2[j] for j in e.pivots]
+        b2 = e.in_m(rows, d, [(1, 1)] + piv[:i0] + piv[i0 + 1:])
+    else:
+        b2 = tuple(tuple(Fraction(x, d) for x in r) for r in rows)
     k, one = len(bs), Fraction(1)
     a2 = Matrix._of(tuple((one,) + r[:i0] + r[i0 + 1:] for r in a), k)
-    b2 = Matrix._of(tuple(tuple(Fraction(x, d) for x in r) for r in rows), m.cols)
+    b2 = Matrix._of(b2, m.cols)
     v = PolytopeRep._of("V", k - 1, tuple(row[1:] for row in a2.data))
     h = PolytopeRep._of("H", k - 1, tuple(
         (col[0],) + tuple(-x for x in col[1:]) for col in zip(*b2.data)))
-    if not _table_is_scaled(list(_slack_numerators(v, h)), e.rows, one):
+    if not _table_is_scaled(v, h, m.data, one):
         raise AssertionError("reconstruction failed to reproduce the matrix")
     return YesCertificate(a=a2, b=b2, mu=mu, polytope=(v, h))
 
@@ -478,23 +377,28 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
     if e.polytope_no:
         raise ValueError("matrix is not a polytope slack matrix")
     # b's pivot columns are the identity, so (nu a) b = 1 forces nu a = 1:
-    # it holds iff every column of b sums to 1.
-    if any(sum(col) != e.den for col in zip(*e.b)):
+    # it holds iff every column of b sums to 1, in N's ints iff d2[p_i] over
+    # the pivots weighs column j of RREF(N) to d2[j].
+    w, wd = _over_lcm([e.d2[j] for j in e.pivots])
+    if any(sum(map(mul, w, col)) * v != e.den * wd * u
+           for col, (u, v) in zip(zip(*e.b), e.d2)):
         raise ValueError("transpose is not a polytope slack matrix")
     # The rows of alpha b - c 1^T sum to 0, so its row space is spanned by
     # c_k b_j - c_j b_k (j != k) for any c_k != 0.  Over c_k these rows have
     # pivots the pivots of b less p_k, and with k the last index of a nonzero
     # c they are reduced as they stand (c_j = 0 for j > k): the RREF.
     k = max(i for i, x in enumerate(e.c) if x != 0)
-    rows, den = _basis_change(e.b, e.den, e.c, e.den, k)
+    rows, den = _basis_change(e.b, e.den, e.c, e.cden, k)
     piv = e.pivots[:k] + e.pivots[k + 1:]
-    alpha = Fraction(sum(e.c), e.den)
+    alpha = Fraction(sum(map(mul, w, e.c)), wd * e.cden)
     s, t = alpha.numerator, alpha.denominator
     one = Fraction(1)
     v = PolytopeRep._of("V", len(piv), tuple(
-        tuple(Fraction(s * x[j] - t * d, t * d) for j in piv) for x, d in e.rows))
-    h = PolytopeRep._of("H", len(piv), tuple(
-        (one,) + tuple(Fraction(-x, den) for x in col) for col in zip(*rows[1:])))
-    if not _table_is_scaled(list(_slack_numerators(v, h)), e.rows, alpha):
+        tuple(Fraction(s * x - t * y, t * y)
+              for x, y in (row[j].as_integer_ratio() for j in piv)) for row in m.data))
+    # As in _certificate, in M's coordinates; over -den, the normals' signs.
+    b3 = e.in_m(rows[1:], -den, [e.d2[j] for j in piv])
+    h = PolytopeRep._of("H", len(piv), tuple((one,) + col for col in zip(*b3)))
+    if not _table_is_scaled(v, h, m.data, alpha):
         raise AssertionError("polar realization failed to reproduce the matrix")
     return v, alpha

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .echelon import NoCertificate, _eliminate
 from .matrix import Matrix, _echelon, integer_vec, primitive, rank
 from .polyhedra import (
     PolytopeRep,
@@ -14,7 +15,6 @@ from .polyhedra import (
     _slack_ints,
     slack_of_polytope,
 )
-from .recognition import NoCertificate, _eliminate_rows
 
 EQUAL = "equal"
 NOT_POINTED = "not_pointed"
@@ -70,7 +70,9 @@ def verify_polytope_equality(q: PolytopeRep, p: PolytopeRep) -> VerificationResu
     slack = tuple(_slack_ints(pts, rows))  # raises when Q is not inside P
     if not pts:
         raise ValueError("empty V-polytope")
-    n, e = p.ambient_dim, _eliminate_rows(slack, len(rows))
+    n = p.ambient_dim
+    e = _eliminate([r for r, _ in slack], [(d, 1) for _, d in slack],
+                   [(1, 1)] * len(rows))
     if n == 0 or len(e.pivots) <= n:
         if len(_echelon([primitive(r[1:]) for r, _ in rows], n)[1]) < n:
             return VerificationResult(False, NOT_POINTED)

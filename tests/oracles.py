@@ -145,27 +145,6 @@ def brute_force_rays(normals, n):
     return out
 
 
-def in_convex_hull(point, points):
-    """Membership of a point in conv(points) by Caratheodory enumeration:
-    the point is in the hull iff some affinely independent subset carries it
-    with nonnegative barycentric coordinates (each a unique exact solve)."""
-    n = len(point)
-    pts = [tuple(F(x) for x in p) for p in points]
-    target = sympy.Matrix([sympy.Rational(x) for x in point] + [1])
-    for size in range(1, min(len(pts), n + 1) + 1):
-        for subset in combinations(pts, size):
-            a = sympy.Matrix(
-                [[sympy.Rational(p[j]) for p in subset] for j in range(n)]
-                + [[1] * size]
-            )
-            if a.rank() != size:
-                continue  # affinely dependent
-            sol = a.solve_least_squares(target)
-            if a * sol == target and all(v >= 0 for v in sol):
-                return True
-    return False
-
-
 def _unique_combination(generators, target):
     """The unique x with sum x_i g_i = target, by Fraction elimination; None
     when the generators are linearly dependent or miss the target."""

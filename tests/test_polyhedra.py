@@ -300,9 +300,8 @@ def _times(scale, m):
 
 
 class TestIntegerReproductionCheck:
-    """`_table_is_scaled(slack, rows, scale)`, with slack the table
-    `_slack_numerators(v, h)` yields and rows m's rows cleared to (ints, d)
-    pairs, decides slack_of_polytope(v, h) == scale * m without forming that
+    """`_table_is_scaled(v, h, rows, scale)`, with rows m's Fraction rows,
+    decides slack_of_polytope(v, h) == scale * m without forming that
     matrix."""
 
     @pytest.mark.parametrize("seed", range(3))
@@ -323,9 +322,7 @@ class TestIntegerReproductionCheck:
                      (Matrix(m.data[1:], cols=m.cols), scale, False)]
             for mm, sc, want in cases:
                 assert (slack_of_polytope(v, h) == _times(sc, mm)) == want
-                rows = [integer_vec(r) for r in mm.data]
-                slack = list(_slack_numerators(v, h))
-                assert _table_is_scaled(slack, rows, sc) == want
+                assert _table_is_scaled(v, h, mm.data, sc) == want
 
     def test_outside_point_raises_like_slack_of_polytope(self):
         v = PolytopeRep("V", 2, ((2, 0),))

@@ -25,7 +25,7 @@ from slackmat import (
     verify_no_certificate,
     verify_yes_certificate,
 )
-from slackmat import lp, matrix, polyhedra, recognition
+from slackmat import echelon, lp, matrix, polyhedra, recognition
 from slackmat.formats import document_for, serialize
 from slackmat.matrix import integer_vec, primitive, rank, rank_factorization
 from slackmat.polyhedra import facet_inequalities, minimal_vrep
@@ -49,6 +49,8 @@ from oracles import (
     verify_equality_fraction_reference,
 )
 from randgen import (
+    centred_slack,
+    projectively_scaled,
     random_nonneg_matrix,
     random_polytope,
     random_slack_like_matrix,
@@ -195,8 +197,8 @@ class TestConeMatchSide:
     @pytest.fixture
     def dd_rows(self, monkeypatch):
         _cold()
-        seen, dd = [], recognition._dd
-        monkeypatch.setattr(recognition, "_dd",
+        seen, dd = [], echelon._dd
+        monkeypatch.setattr(echelon, "_dd",
                             lambda rows, n: seen.append(len(rows)) or dd(rows, n))
         return seen
 
@@ -302,8 +304,8 @@ class TestIsPolytopeSlack:
                 read.add(j)
                 return tuple.__getitem__(self, j)
 
-        kernel_basis = recognition._kernel_basis
-        monkeypatch.setattr(recognition, "_kernel_basis",
+        kernel_basis = echelon._kernel_basis
+        monkeypatch.setattr(echelon, "_kernel_basis",
                             lambda a, piv, n: kernel_basis([Row(r) for r in a], piv, n))
         res = is_polytope_slack(m)
         assert res.certificate.witness == (F(-1), F(-1), F(1)) + (F(0),) * 249
@@ -450,8 +452,8 @@ class TestVerifyYesCertificate:
     def test_dd_runs_on_the_side_with_fewer_generators(self, monkeypatch, m, side):
         cert = ccgc_check(m).certificate
         seen = []
-        dd = recognition._dd
-        monkeypatch.setattr(recognition, "_dd", lambda rows, n: seen.append(rows) or dd(rows, n))
+        dd = echelon._dd
+        monkeypatch.setattr(echelon, "_dd", lambda rows, n: seen.append(rows) or dd(rows, n))
         assert verify_yes_certificate(m, cert)
         vectors = cert.b.columns() if side == "b" else cert.a.data
         assert [list(rows) for rows in seen] == [
@@ -743,8 +745,9 @@ class TestRankCoordinateSolves:
                 assert route is polar_realization and m in (PRISM, CUBE4)
             wide = [x for x in eliminations["rows"]
                     if len(x[0]) > r + 1 and x[1] > r + 1]
-            # Only [m | 1] is eliminated wide, and no system is solved.
-            assert wide == [(_with_ones(m), m.cols + 1)]
+            # Only [D1 m D2 | D1 1] is eliminated wide, and no system is solved.
+            assert [n for _, n in wide] == [m.cols + 1]
+            assert _scaled_with_ones(wide[0][0], m)
             assert eliminations["solve_linear"] == []
 
 
@@ -783,9 +786,19 @@ def _clear(seen):
         calls.clear()
 
 
-def _with_ones(m):
-    """The rows of [m | 1] as the elimination takes them: primitive ints."""
-    return [primitive(integer_vec(row + (F(1),))[0]) for row in m.data]
+def _scaled_with_ones(rows, m):
+    """Whether rows, as the elimination takes them, are [D1 m D2 | D1 1] for
+    positive diagonals D1 and D2: primitive int rows, each a positive
+    multiple of the same row of [m D2 | 1]."""
+    d2 = {}
+    for row, mrow in zip(rows, m.data):
+        if primitive(row) != tuple(row) or len(row) != m.cols + 1 or row[-1] <= 0:
+            return False
+        for j, (x, y) in enumerate(zip(row, mrow)):
+            if (x == 0) != (y == 0) or (y and d2.setdefault(j, x / (row[-1] * y))
+                                        != x / (row[-1] * y)):
+                return False
+    return len(rows) == m.rows and all(t > 0 for t in d2.values())
 
 
 class TestClosedFormSolves:
@@ -801,19 +814,21 @@ class TestClosedFormSolves:
         assert m.rows != m.cols
         _clear(eliminations)
         assert is_polytope_slack(_copy(m)).verdict
-        assert eliminations["rows"] == [(_with_ones(m), m.cols + 1)]
+        assert [n for _, n in eliminations["rows"]] == [m.cols + 1]
+        assert _scaled_with_ones(eliminations["rows"][0][0], m)
         assert eliminations["solve_linear"] == []
         _clear(eliminations)
         polar_realization(_copy(m))
         shapes = [(len(rows), n) for rows, n in eliminations["rows"]]
         assert shapes == [(m.rows, m.cols + 1)]
-        assert eliminations["rows"][0][0] == _with_ones(m)
+        assert _scaled_with_ones(eliminations["rows"][0][0], m)
         assert eliminations["solve_linear"] == []
 
     def test_transpose_rejected_without_a_solve(self, eliminations):
         with pytest.raises(ValueError, match="transpose"):
             polar_realization(PRISM)
-        assert eliminations["rows"] == [(_with_ones(PRISM), PRISM.cols + 1)]
+        assert [n for _, n in eliminations["rows"]] == [PRISM.cols + 1]
+        assert _scaled_with_ones(eliminations["rows"][0][0], PRISM)
         assert eliminations["solve_linear"] == []
 
     def test_no_fraction_elimination(self, monkeypatch):
@@ -861,12 +876,12 @@ class TestClosedFormPolar:
     def test_rref_of_scaled_minus_ones(self, monkeypatch, m):
         seen = []
 
-        def recording(v, h):
+        def recording(v, h, rows, scale):
             seen.append(h)
-            return slack_numerators(v, h)
+            return table_is_scaled(v, h, rows, scale)
 
-        slack_numerators = recognition._slack_numerators
-        monkeypatch.setattr(recognition, "_slack_numerators", recording)
+        table_is_scaled = recognition._table_is_scaled
+        monkeypatch.setattr(recognition, "_table_is_scaled", recording)
         p, alpha = polar_realization(m)
         diff = Matrix([[alpha * x - 1 for x in row] for row in m.data],
                       cols=m.cols)
@@ -1100,6 +1115,115 @@ class TestRecognitionCache:
         with pytest.raises(AssertionError, match=(
                 "polar realization failed to reproduce the matrix")):
             polar_realization(_copy(PRISM_SCALED))
+
+
+def _diagonally_scaled(r, m, bits, rows=True):
+    """D1 m D2 for random positive diagonals with entries of up to `bits`
+    bits in numerator and denominator; D1 = I unless `rows`."""
+    def draw():
+        return F(r.randint(1, 2**bits), r.randint(1, 2**bits))
+
+    d1 = [draw() if rows else 1 for _ in range(m.rows)]
+    d2 = [draw() for _ in range(m.cols)]
+    return Matrix([[a * x * b for x, b in zip(row, d2)]
+                   for a, row in zip(d1, m.data)], cols=m.cols)
+
+
+def _zero_line(m):
+    return any(not any(v) for v in m.data + m.transpose().data)
+
+
+def _normal_form_bits(m):
+    """The largest integer of m's normal form in the recognition record:
+    N's rows, B = RREF(N) and its denominator, in bits."""
+    e = recognition._recognized(m)
+    return max(abs(x).bit_length() for x in (e.den, *sum(e.rows + e.b, ())))
+
+
+def _certificates_hold(m):
+    """Every certificate recognition gives for m verifies against m."""
+    for res in (ccgc_check(m), is_polytope_slack(m)):
+        cert = res.certificate
+        assert (verify_yes_certificate(m, cert) if res.verdict
+                else verify_no_certificate(m, cert))
+
+
+class TestForestNormalForm:
+    """Recognition runs on M's spanning-forest normal form N = D1 M D2, so
+    positive row and column scalings of M change no verdict and not the
+    size of the integers it eliminates; every certificate, stated in M's
+    coordinates, verifies and is the Fraction route's byte for byte."""
+
+    def test_cone_verdict_and_size_invariant(self):
+        r = rng(21)
+        seen = set()
+        for _ in range(25):
+            for m in recognition_inputs(r):
+                s = _diagonally_scaled(r, m, r.choice((12, 24, 40, 64)))
+                verdict, bits = ccgc_check(m).verdict, _normal_form_bits(m)
+                assert ccgc_check(s).verdict == verdict
+                assert _normal_form_bits(s) == bits
+                _certificates_hold(s)
+                seen.add(verdict)
+        assert seen == {True, False}
+
+    def test_polytope_verdict_invariant_under_projective_scaling(self):
+        r = rng(22)
+        outcomes = set()
+        for _ in range(25):
+            for m in recognition_inputs(r):
+                res = is_polytope_slack(m)
+                if (not res.verdict and res.certificate.reason == ONES_NOT_IN_SPAN
+                        or _zero_line(m)):
+                    continue  # a projective scaling puts 1 in the span
+                s = projectively_scaled(r, m, bits=r.choice((12, 32, 64)))
+                got = is_polytope_slack(s)
+                assert got.verdict == res.verdict
+                assert _normal_form_bits(s) == _normal_form_bits(m)
+                _certificates_hold(s)
+                outcomes.add(res.verdict or res.certificate.reason)
+        assert outcomes == {True, UNMATCHED_RAY, RANK_TOO_SMALL}
+
+    def test_identical_to_fraction_route_on_scaled_inputs(self):
+        r = rng(23)
+        outcomes = set()
+        for _ in range(60):
+            v, h = random_polytope(r, max_dim=3, max_vertices=6)
+            s = centred_slack(v, h)
+            j = r.randrange(s.cols)
+            deleted = s.submatrix(range(s.rows), [k for k in range(s.cols) if k != j])
+            for m in (slack_of_polytope(v, h), s, deleted):
+                scalings = [_diagonally_scaled(r, m, 16),
+                            _diagonally_scaled(r, m, 16, rows=False)]
+                if not _zero_line(m):
+                    scalings.append(projectively_scaled(r, m, bits=24))
+                for scaled in scalings:
+                    res = is_polytope_slack(scaled)
+                    ref = polytope_slack_fraction_reference(scaled)
+                    assert _cert_text(res) == _cert_text(ref)
+                    polar = _polar_outcome(polar_realization, scaled)
+                    assert polar == _polar_outcome(
+                        polar_realization_fraction_reference, scaled)
+                    outcomes.add(res.verdict or res.certificate.reason)
+                    outcomes.add(polar if isinstance(polar, str) else "polar")
+        assert outcomes == {
+            True, UNMATCHED_RAY, ONES_NOT_IN_SPAN, RANK_TOO_SMALL, "polar",
+            "matrix is not a polytope slack matrix",
+            "transpose is not a polytope slack matrix",
+        }
+
+    def test_normal_form_is_a_scaling_of_m(self):
+        # N = D1 M D2 for positive diagonals, the same N for M and for a
+        # scaled M.  The BFS starts at row 0 and takes all of its nonzero
+        # entries into the forest, so they are all 1 in N.
+        plain = PRISM.vstack(Matrix.zero(1, 5))
+        m = _diagonally_scaled(rng(24), plain, 40)
+        n, d1, d2 = echelon._normal_form(m)
+        for row, mrow, a in zip(n, m.data, d1):
+            assert row == tuple(F(*a) * x * F(*b) for x, b in zip(mrow, d2))
+        assert n == echelon._normal_form(plain)[0]
+        assert set(n[0]) == {0, 1} and n[-1] == (0,) * 5
+        assert all(x > 0 for x in sum(d1 + d2, ()))
 
 
 class TestProperties:

@@ -1,5 +1,5 @@
-"""Smoke tests: the example, survey and benchmark self-test scripts run
-from a plain checkout."""
+"""Smoke tests: the example, survey, scale-report and benchmark self-test
+scripts run from a plain checkout."""
 
 import os
 import subprocess
@@ -33,6 +33,17 @@ def test_random_survey():
     assert "invalid certificates: 0" in out.stdout
     assert "verification pairs:  40" in out.stdout
     assert "verification disagreements: 0" in out.stdout
+
+
+def test_scale_report_quick():
+    # One child process per item; the report fails only on a wrong verdict,
+    # a failed item or a timeout, and prints the timings it measured.
+    out = run_script("scale_report.py", "--quick", "--timeout", "60")
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == [
+        "C(12,5)/plain", "C(12,5)/plain/T", "C(12,5)/scaled", "C(12,5)/scaled/T"]
+    assert lines[-1] == "wrong or failed: 0"
 
 
 @pytest.mark.parametrize("workload", ["families", "random-cli", "verify-vh"])
