@@ -9,12 +9,14 @@ with every facet scaled to slack one at the vertex centroid, so that the
 transpose is a polytope slack matrix too.  Each comes plain and with
 positive row and column scalings (`gen.projective_scaling`, 16-bit), in
 both orientations; `--quick` keeps the C(12,5) items.  Every item runs in
-a child process of its own: `is_polytope_slack`, then `polar_realization`.
+a child process of its own: `is_polytope_slack`, then `polar_realization`,
+then `verify_yes_certificate` on the certificate.
 
 One line per item: the time of each call, the child's peak RSS, and the
 bit length of the largest integer in the recognition record.  The script
 exits nonzero when a verdict is wrong (every item is a YES with a polar
-realization), or when an item fails or runs past the timeout.
+realization and a certificate that verifies), or when an item fails or runs
+past the timeout.
 """
 
 import argparse
@@ -31,7 +33,12 @@ _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 
 import gen  # noqa: E402
-from slackmat import Matrix, is_polytope_slack, recognition  # noqa: E402
+from slackmat import (  # noqa: E402
+    Matrix,
+    is_polytope_slack,
+    recognition,
+    verify_yes_certificate,
+)
 
 FAMILIES = {
     "C(12,5)": lambda: gen.cyclic(12, 5),
@@ -71,7 +78,7 @@ def child(label: str) -> None:
     """Run one item and print its measurements as one JSON line."""
     m = matrix(label)
     t0 = time.perf_counter()
-    verdict = is_polytope_slack(m).verdict
+    res = is_polytope_slack(m)
     t1 = time.perf_counter()
     try:
         recognition.polar_realization(m)
@@ -79,11 +86,14 @@ def child(label: str) -> None:
     except ValueError:
         polar = False
     t2 = time.perf_counter()
+    verified = res.verdict and verify_yes_certificate(m, res.certificate)
+    t3 = time.perf_counter()
     e = recognition._recognized(m)
     bits = max(max_bits(getattr(e, f.name)) for f in dataclasses.fields(e))
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"shape": [m.rows, m.cols], "verdict": verdict,
-                      "polar": polar, "recognize_s": t1 - t0, "polar_s": t2 - t1,
+    print(json.dumps({"shape": [m.rows, m.cols], "verdict": res.verdict,
+                      "polar": polar, "verified": verified, "recognize_s": t1 - t0,
+                      "polar_s": t2 - t1, "verify_s": t3 - t2,
                       "peak_rss_mb": rss, "max_int_bits": bits}))
 
 
@@ -98,8 +108,8 @@ def main() -> int:
         child(args.item)
         return 0
     bad = 0
-    print("%-18s %9s %8s %8s %8s %9s" % ("item", "shape", "recog_s", "polar_s",
-                                        "rss_mb", "max_bits"))
+    print("%-18s %9s %8s %8s %8s %8s %9s" % ("item", "shape", "recog_s", "polar_s",
+                                             "verify_s", "rss_mb", "max_bits"))
     for label in labels(QUICK if args.quick else FAMILIES):
         try:
             out = subprocess.run([sys.executable, os.path.abspath(__file__),
@@ -114,11 +124,12 @@ def main() -> int:
             bad += 1
             continue
         r = json.loads(out.stdout)
-        wrong = not (r["verdict"] and r["polar"])
+        wrong = not (r["verdict"] and r["polar"] and r["verified"])
         bad += wrong
-        print("%-18s %9s %8.3f %8.3f %8.1f %9d%s" % (
+        print("%-18s %9s %8.3f %8.3f %8.3f %8.1f %9d%s" % (
             label, "%dx%d" % tuple(r["shape"]), r["recognize_s"], r["polar_s"],
-            r["peak_rss_mb"], r["max_int_bits"], "  WRONG VERDICT" if wrong else ""))
+            r["verify_s"], r["peak_rss_mb"], r["max_int_bits"],
+            "  WRONG VERDICT" if wrong else ""))
     print("wrong or failed: %d" % bad)
     return 1 if bad else 0
 

@@ -184,13 +184,15 @@ def _normal_form(m: Matrix) -> tuple[list, list, list]:
     before its rows are cleared, N is 1 on every forest edge.  So N is the
     same for M and for any positive row and column scaling of M.  O(nonzeros)
     int arithmetic, with one rational per row and one per column, each a
-    (numerator, denominator) pair."""
+    (numerator, denominator) pair.  Raises ValueError on a negative entry."""
     p, q = m.rows, m.cols
     rows = [[(j, *x.as_integer_ratio()) for j, x in enumerate(r) if x]
             for r in m.data]
     cols = [[] for _ in range(q)]
     for i, r in enumerate(rows):
         for j, a, b in r:
+            if a < 0:
+                raise ValueError("matrix has a negative entry")
             cols[j].append((i, a, b))
     # d1[i] d2[j] M[i][j] = 1 on each forest edge, as (numerator, denominator).
     d1, d2 = [None] * p, [None] * q

@@ -32,7 +32,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional
 
 from .echelon import (
@@ -44,7 +43,6 @@ from .echelon import (
     _Echelon,
     _eliminate,
     _normal_form,
-    _over_lcm,
 )
 from .matrix import (
     Matrix,
@@ -66,7 +64,6 @@ from .polyhedra import (
     ConeRep,
     PolytopeRep,
     _table_is_scaled,
-    slack_of_polytope,
     vertices_of_h_polytope,
 )
 
@@ -106,15 +103,23 @@ def _forget(ref) -> None:
 
 def _recognized(m: Matrix) -> _Echelon:
     """m's elimination, kept in one entry for the last Matrix recognized:
-    (weakref, e), keyed by identity, replaced whole, dropped when m dies.
-    The entry keeps e's answers once they are decided."""
+    (weakref, e, certificate or None), keyed by identity, replaced whole,
+    dropped when m dies.  The entry keeps e's answers once they are decided."""
     global _last
     last = _last  # read once: the entry checked is the entry returned
     if last is None or last[0]() is not m:
-        _require_nonnegative(m)
         e = _eliminate(*_normal_form(m))
-        last = _last = (weakref.ref(m, _forget), e)
+        last = _last = (weakref.ref(m, _forget), e, None)
     return last[1]
+
+
+def _realized(m: Matrix, e: _Echelon) -> YesCertificate:
+    """m's certificate, built and checked once per record e, kept beside it."""
+    global _last
+    last = _last  # read once, as in _recognized
+    if last is None or last[1] is not e or last[2] is None:
+        last = _last = (weakref.ref(m, _forget), e, _certificate(m, e))
+    return last[2]
 
 
 def ccgc_check(m: Matrix) -> RecognitionResult:
@@ -162,7 +167,7 @@ def is_polytope_slack(m: Matrix) -> RecognitionResult:
     """
     e = _recognized(m)
     no = e.polytope_no
-    return RecognitionResult(no is None, KIND_POLYTOPE, no or _certificate(m, e))
+    return RecognitionResult(no is None, KIND_POLYTOPE, no or _realized(m, e))
 
 
 def verify_no_certificate(m: Matrix, cert: NoCertificate) -> bool:
@@ -207,23 +212,24 @@ def verify_yes_certificate(m: Matrix, cert: YesCertificate) -> bool:
     iff every extreme ray of that cone is a positive multiple of a column of
     b, or, dually, every one of {x : x b >= 0} of a row of a.  One DD decides
     it on the side `_cone_match` picks; a lineality space there (a factor of
-    rank below a.cols) fails.  With mu it also needs rank(m) >= 2
-    and m mu = 1, and with a V/H pair that its slack matrix is m and [1 | V]
-    has rank a.cols.  Invalid or ill-shaped certificates return False.
+    rank below a.cols) fails.  With mu it also needs m mu = 1 and rank(m) >= 2
+    (on m's normal form), and with a V/H pair in one R^n that its slack matrix
+    is m and [1 | V] has rank a.cols.  Invalid or ill-shaped ones return False.
     """
     a, b = cert.a, cert.b
     try:
         if not m.is_nonnegative() or a * b != m:
             return False
-        if cert.mu is not None and (len(cert.mu) != m.cols or rank(m) < 2
-                                    or m.matvec(cert.mu) != ones(m.rows)):
+        if cert.mu is not None and (m.matvec(cert.mu) != ones(m.rows)
+                                    or len(_echelon(_normal_form(m)[0], m.cols)[1]) < 2):
             return False
         if cert.polytope is not None:
             v, h = cert.polytope
             lifted = Matrix([(1,) + pt for pt in v.points()], cols=v.ambient_dim + 1)
-            if slack_of_polytope(v, h) != m or rank(lifted) != a.cols:
+            if ((h.form, h.ambient_dim) != ("H", v.ambient_dim)
+                    or not _table_is_scaled(v, h, m.data, 1) or rank(lifted) != a.cols):
                 return False
-    except ValueError:  # mis-shaped blocks, or a V point outside the H-polytope
+    except ValueError:  # mis-shaped blocks, or a V block that is not a V-form
         return False
     _, lin, rays = _cone_match((integer_vec(r)[0] for r in a.data),
                                (integer_vec(c)[0] for c in b.columns()), a.cols)
@@ -308,7 +314,7 @@ def reconstruct_polytope(
         a, b = factors
         if a * b != m or a.cols != len(e.pivots):
             raise ValueError("supplied factors are not a rank factorization")
-    return _certificate(m, e, factors).polytope
+    return (_realized(m, e) if factors is None else _certificate(m, e, factors)).polytope
 
 
 def cone_check_via_polytope(m: Matrix) -> bool:
@@ -361,44 +367,35 @@ def polar_realization(m: Matrix) -> tuple[PolytopeRep, Fraction]:
     """Polytope P with 0 interior realizing a positive multiple of m, whose
     polar realizes the transpose.
 
-    Requires both m and its transpose to be polytope slack matrices, decided
-    by one recognition of m: the CCGC of m^T follows from that of m (the cone
-    slack matrices of K and K* are transposes) and rank(m^T) = rank(m), so
-    only the all-ones vector in the row span is left.  Everything after that
-    is read off the elimination's m = a b, with b in RREF and a c = 1:
-    nu m = 1 iff (nu a) b = 1, and alpha = sum(nu) = 1 . mu = sum(c) makes 1
-    a convex combination of the rows of alpha m.  alpha m - J = a (alpha b -
-    c 1^T) with a injective, so the RREF of its row space is written down
-    without an elimination, and P is alpha m - J on that RREF's pivots.
-    Its slack table, transposed the polar's, is checked against alpha m.
-    Right after is_polytope_slack(m), m is neither eliminated nor DD'd again.
+    Requires m and m^T to be polytope slack matrices.  The CCGC and the rank
+    carry over to m^T (the cone slack matrices of K and K* are transposes),
+    so only nu m = 1 is left, read off the realization is_polytope_slack
+    builds and checks (beta_j - a_j . v_i = m_ij) once per Matrix object.
+    Its chart is U = [c | e_t, t != i0] for m = A B, B the RREF, A c = 1 and
+    i0 the first nonzero of c, so A U = [1 | V].  B's pivot columns are the
+    identity, so nu m = 1 gives nu A = 1, nu [1 | V] = (alpha, 1, ..., 1)
+    with alpha = 1 . c = 1 . mu, and nu exists iff every facet has alpha
+    beta_j - sum_t a_jt = 1.  Then the points alpha v_i - 1 with facets
+    a_j . x <= 1 have slack alpha m_ij.  Those returned, alpha m - J on the
+    pivots less p_k (k the last nonzero of c), carry column p_i0 in place
+    of p_k, which is -a_p_i0 . (alpha v - 1) by facet p_i0's slack and
+    identity; a_p_i0 is c_k / c_i0 != 0 at p_k, so the map is invertible.
     """
     e = _recognized(m)
     if e.polytope_no:
         raise ValueError("matrix is not a polytope slack matrix")
-    # b's pivot columns are the identity, so (nu a) b = 1 forces nu a = 1:
-    # it holds iff every column of b sums to 1, in N's ints iff d2[p_i] over
-    # the pivots weighs column j of RREF(N) to d2[j].
-    w, wd = _over_lcm([e.d2[j] for j in e.pivots])
-    if any(sum(map(mul, w, col)) * v != e.den * wd * u
-           for col, (u, v) in zip(zip(*e.b), e.d2)):
+    cert = _realized(m, e)
+    alpha = sum(cert.mu)
+    s, t = alpha.as_integer_ratio()
+    h = cert.polytope[1].vectors
+    if any(s * beta - t * sum(a) != t * d for (beta, *a), d in map(integer_vec, h)):
         raise ValueError("transpose is not a polytope slack matrix")
-    # The rows of alpha b - c 1^T sum to 0, so its row space is spanned by
-    # c_k b_j - c_j b_k (j != k) for any c_k != 0.  Over c_k these rows have
-    # pivots the pivots of b less p_k, and with k the last index of a nonzero
-    # c they are reduced as they stand (c_j = 0 for j > k): the RREF.
-    k = max(i for i, x in enumerate(e.c) if x != 0)
-    rows, den = _basis_change(e.b, e.den, e.c, e.cden, k)
+    nonzero = [i for i, x in enumerate(e.c) if x]
+    i0, k = nonzero[0], nonzero[-1]
+    if k != i0 and not h[e.pivots[i0]][k]:
+        raise AssertionError("polar realization is not an image of the certificate's")
     piv = e.pivots[:k] + e.pivots[k + 1:]
-    alpha = Fraction(sum(map(mul, w, e.c)), wd * e.cden)
-    s, t = alpha.numerator, alpha.denominator
-    one = Fraction(1)
     v = PolytopeRep._of("V", len(piv), tuple(
         tuple(Fraction(s * x - t * y, t * y)
               for x, y in (row[j].as_integer_ratio() for j in piv)) for row in m.data))
-    # As in _certificate, in M's coordinates; over -den, the normals' signs.
-    b3 = e.in_m(rows[1:], -den, [e.d2[j] for j in piv])
-    h = PolytopeRep._of("H", len(piv), tuple((one,) + col for col in zip(*b3)))
-    if not _table_is_scaled(v, h, m.data, alpha):
-        raise AssertionError("polar realization failed to reproduce the matrix")
     return v, alpha

@@ -490,6 +490,22 @@ class TestVerifyYesCertificate:
         assert verify_yes_certificate(m, YesCertificate(a, b, mu, (segment, h)))
         assert not verify_yes_certificate(m, YesCertificate(a, b, mu, (square, h2)))
 
+    def test_realization_needs_one_ambient_space(self):
+        # The segment's points against the same facets written in R^2: with
+        # the extra coordinate dropped every slack is m's, but V and H do
+        # not live in one space.  A swapped pair is no realization either.
+        m = Matrix([[0, 2], [0, 2], [2, 0], [2, 0]])
+        a = Matrix([[1, 1], [1, 1], [1, -1], [1, -1]])
+        b = Matrix([[1, 1], [-1, 1]])
+        segment = PolytopeRep("V", 1, ((1,), (1,), (-1,), (-1,)))
+        h = PolytopeRep("H", 1, ((1, 1), (1, -1)))
+        h2 = PolytopeRep("H", 2, ((1, 1, 0), (1, -1, 0)))
+        mu = (F(1, 2), F(1, 2))
+        assert polyhedra._table_is_scaled(segment, h2, m.data, 1)
+        assert verify_yes_certificate(m, YesCertificate(a, b, mu, (segment, h)))
+        assert not verify_yes_certificate(m, YesCertificate(a, b, mu, (segment, h2)))
+        assert not verify_yes_certificate(m, YesCertificate(a, b, mu, (h, segment)))
+
 
 class TestReconstructCone:
     def test_identity_orthant(self):
@@ -565,11 +581,13 @@ class TestReconstructPolytope:
         return count
 
     def test_one_realization_per_call(self, checks):
+        # On a fresh Matrix: the certificate's realization is kept with the
+        # record, so a second call on one object may make no check at all.
         a, b = rank_factorization(PRISM)
         t = Matrix([[1, 0, 0, 2], [0, 1, 0, 0], [3, 0, 1, 0], [0, 0, 0, 1]])
         for factors in (None, (a * t, matrix.inverse(t) * b)):
             checks[0] = 0
-            v, h = reconstruct_polytope(PRISM, factors)
+            v, h = reconstruct_polytope(_copy(PRISM), factors)
             assert slack_of_polytope(v, h) == PRISM
             assert checks[0] == 1
 
@@ -585,18 +603,6 @@ class TestConeCheckViaPolytope:
         padded = PRISM.vstack(Matrix.zero(2, 5))
         assert cone_check_via_polytope(padded)
         assert is_cone_slack(padded).verdict
-
-
-def _centred_slack(v, h):
-    """Slack matrix of (v, h) with every facet scaled to slack one at the
-    vertex centroid, so the rows average to the all-ones vector."""
-    n = v.ambient_dim
-    c = [sum(p[j] for p in v.vectors) / len(v.vectors) for j in range(n)]
-    rows = []
-    for row in h.vectors:
-        s = row[0] - sum(a * x for a, x in zip(row[1:], c))
-        rows.append(tuple(x / s for x in row))
-    return slack_of_polytope(v, PolytopeRep("H", n, tuple(rows)))
 
 
 def _column_scaled(r, m):
@@ -660,12 +666,26 @@ class TestPolarRealization:
             polar_realization(PRISM)
         assert calls == {"_recognized": 1, "_dd": 1, "lp_solve": 0}
 
+    def test_transpose_error_iff_transpose_rejected(self):
+        r = rng(29)
+        seen = set()
+        for _ in range(40):
+            for m in recognition_inputs(r):
+                if not is_polytope_slack(m).verdict:
+                    continue
+                outcome = _polar_outcome(polar_realization, m)
+                realized = not isinstance(outcome, str)
+                assert realized or outcome == "transpose is not a polytope slack matrix"
+                assert realized == is_polytope_slack(m.transpose()).verdict
+                seen.add(realized)
+        assert seen == {True, False}
+
     def test_matches_two_recognition_route(self):
         r = rng(4)
         inputs = []
         for _ in range(12):
             v, h = random_polytope(r, max_dim=3, max_vertices=7)
-            for m in (slack_of_polytope(v, h), _centred_slack(v, h)):
+            for m in (slack_of_polytope(v, h), centred_slack(v, h)):
                 inputs += [m, _column_scaled(r, m)]
         inputs += [random_nonneg_matrix(r) for _ in range(40)]
         realized = 0
@@ -713,7 +733,7 @@ class TestRankCoordinateSolves:
             v, h = random_polytope(r, max_dim=3, max_vertices=7)
             s = slack_of_polytope(v, h)
             inputs += [random_nonneg_matrix(r), random_slack_like_matrix(r),
-                       s, _centred_slack(v, h), _row_scaled(r, s),
+                       s, centred_slack(v, h), _row_scaled(r, s),
                        s.transpose()]
         outcomes = set()
         for m in inputs:
@@ -866,22 +886,14 @@ ROUND_60 = _round_60()
 
 
 class TestClosedFormPolar:
-    """The polar realization's points and facet normals, written down from
-    the elimination of [M | 1], are alpha M - J on the pivots of its RREF
-    and minus that RREF's columns, as an elimination of alpha M - J gives;
-    the last nonzero entry of c need not be c's last entry."""
+    """The polar realization's points are alpha M - J on the pivots of its
+    RREF, and with facet normals minus that RREF's columns (from an
+    independent elimination) they reproduce alpha M; the last nonzero entry
+    of c need not be c's last entry."""
 
     @pytest.mark.parametrize("m", [PRISM_SCALED, CUBE4_CENTRED, ROUND_60],
                              ids=["prism-scaled", "cube4-centred", "round-60"])
-    def test_rref_of_scaled_minus_ones(self, monkeypatch, m):
-        seen = []
-
-        def recording(v, h, rows, scale):
-            seen.append(h)
-            return table_is_scaled(v, h, rows, scale)
-
-        table_is_scaled = recognition._table_is_scaled
-        monkeypatch.setattr(recognition, "_table_is_scaled", recording)
+    def test_rref_of_scaled_minus_ones(self, m):
         p, alpha = polar_realization(m)
         diff = Matrix([[alpha * x - 1 for x in row] for row in m.data],
                       cols=m.cols)
@@ -889,9 +901,10 @@ class TestClosedFormPolar:
         assert rk == rank(m) - 1
         assert p.vectors == tuple(tuple(row[j] for j in piv)
                                   for row in diff.data)
-        assert [h.vectors for h in seen] == [tuple(
-            (F(1),) + tuple(-b[i, j] for i in range(rk))
-            for j in range(m.cols))]
+        h = PolytopeRep("H", rk, tuple(
+            (F(1),) + tuple(-b[i, j] for i in range(rk)) for j in range(m.cols)))
+        assert slack_of_polytope(p, h) == Matrix(
+            [[alpha * x for x in row] for row in m.data], cols=m.cols)
         outcome = _polar_outcome(polar_realization, m)
         assert outcome == _polar_outcome(polar_realization_wide_reference, m)
         assert outcome == _polar_outcome(polar_realization_fraction_reference, m)
@@ -1107,14 +1120,49 @@ class TestRecognitionCache:
 
         def corrupted(*args):
             # Halved normals keep every slack positive, so only the
-            # reproduction check can tell.
+            # reproduction check can tell: the polar reads the certificate's
+            # realization, and that one check guards both.
             rows, d = basis_change(*args)
             return rows, 2 * d
 
         monkeypatch.setattr(recognition, "_basis_change", corrupted)
         with pytest.raises(AssertionError, match=(
-                "polar realization failed to reproduce the matrix")):
+                "reconstruction failed to reproduce the matrix")):
             polar_realization(_copy(PRISM_SCALED))
+
+    @pytest.fixture
+    def realizations(self, monkeypatch):
+        """Calls of the certificate's realization and of the reproduction
+        check, at every slackmat binding, from an empty cache."""
+        _cold()
+        counts = {}
+        for target in (recognition._certificate, polyhedra._table_is_scaled):
+            counts[target.__name__] = 0
+
+            def counting(*args, _f=target, _n=target.__name__):
+                counts[_n] += 1
+                return _f(*args)
+
+            for n, mod in list(sys.modules.items()):
+                if n == "slackmat" or n.startswith("slackmat."):
+                    for attr, value in list(vars(mod).items()):
+                        if value is target:
+                            monkeypatch.setattr(mod, attr, counting)
+        return counts
+
+    def test_one_realization_per_matrix(self, realizations):
+        questions = [is_polytope_slack, reconstruct_polytope,
+                     lambda m: _polar_outcome(polar_realization, m)]
+        for m in (PRISM_SCALED, PRISM, CUBE4_CENTRED):
+            answers = None
+            for order in itertools.permutations(questions):
+                # An equal but distinct copy makes one more of each.
+                before = dict(realizations)
+                copy = _copy(m)
+                got = {q: _answers(copy, [q])[0] for q in order}
+                assert realizations == {k: v + 1 for k, v in before.items()}
+                assert answers in (None, got)
+                answers = got
 
 
 def _diagonally_scaled(r, m, bits, rows=True):
@@ -1211,6 +1259,23 @@ class TestForestNormalForm:
             "matrix is not a polytope slack matrix",
             "transpose is not a polytope slack matrix",
         }
+
+    def test_signs_read_once(self, monkeypatch):
+        # The normal form rejects a negative entry as it reads the nonzeros;
+        # recognition makes no other pass over M's signs.
+        def unread(self):
+            raise AssertionError("a second pass over the signs")
+
+        _cold()
+        monkeypatch.setattr(Matrix, "is_nonnegative", unread)
+        for m in (Matrix([[1, 0], [2, -F(1, 3)]]), Matrix([[-1]])):
+            with pytest.raises(ValueError, match="^matrix has a negative entry$"):
+                echelon._normal_form(m)
+            with pytest.raises(ValueError, match="^matrix has a negative entry$"):
+                is_polytope_slack(m)
+        m = _copy(PRISM_SCALED)
+        assert is_polytope_slack(m).verdict and ccgc_check(m).verdict
+        polar_realization(m)
 
     def test_normal_form_is_a_scaling_of_m(self):
         # N = D1 M D2 for positive diagonals, the same N for M and for a
