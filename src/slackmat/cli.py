@@ -30,8 +30,8 @@ class CliError(Exception):
 
 def _load(path: str, kinds: tuple[str, ...]) -> Document:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")  # a bad byte: ValueError, which run reports
     except OSError as e:
         raise CliError("cannot read %s: %s" % (path, e))
     try:
@@ -51,10 +51,10 @@ def _write(*outputs) -> None:
     texts, path = [], None
     try:
         for path, payload in outputs:
-            texts.append((path, formats.serialize(document_for(payload))))
-        for path, text in texts:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            texts.append((path, formats.serialize(document_for(payload)).encode()))
+        for path, data in texts:
+            with open(path, "wb") as fh:
+                fh.write(data)
     except (OSError, ValueError) as e:  # ValueError: a number too long to print
         raise CliError("cannot write %s: %s" % (path, e))
 
@@ -204,9 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
         "reconstruct realizations, and verify polyhedral descriptions.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = {}  # each command's own parser, by name, for run
 
     def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
+        sp = ap.commands[name] = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
         sp.add_argument("--quiet", action="store_true", help="suppress verdict line")
         return sp
@@ -261,10 +262,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def run(argv=None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser would, but by the named command's
+    own parser.  The top-level parser handles the rest: no command, an unknown
+    one, its own -h, and arguments the command's parser leaves over (parsed
+    again, so the message is the same)."""
     ap = build_parser()
+    sp = ap.commands.get(argv[0]) if argv else None
+    if sp is not None:
+        args, rest = sp.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return ap.parse_args(argv)
+
+
+def run(argv=None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

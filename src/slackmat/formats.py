@@ -10,7 +10,8 @@ followed by blocks ``A`` and ``B``, an optional ``MU`` row and an optional
 ``WITNESS`` and one ``SEPARATOR`` row.  Rationals are written as ``a`` or
 ``a/b`` in ASCII digits, with an optional sign on ``a`` only.  Serialization
 is canonical (reduced fractions, single spaces, LF, newline-terminated), so
-files are diff-able and parse/serialize round-trips are exact.
+files are diff-able and parse/serialize round-trips are exact; the CLI
+writes those bytes as they are, with LF on every platform.
 """
 
 from __future__ import annotations
@@ -71,12 +72,12 @@ def _parse_rational(tok: str, lineno: int) -> Fraction:
     if m is None:
         raise FormatError("bad rational %s" % _shown(tok), lineno)
     try:
-        n, d = int(m[1]), int(m[2] or 1)
+        n, d = int(m[1]), m[2] and int(m[2])
     except ValueError:  # past the interpreter's limit on integer digits
         raise FormatError("bad rational %s" % _shown(tok), lineno)
     if d == 0:
         raise FormatError("zero denominator in %s" % _shown(tok), lineno)
-    return Fraction(n, d)
+    return Fraction(n) if d is None else Fraction(n, d)  # one int: the fast path
 
 
 class _Reader:
@@ -101,12 +102,12 @@ class _Reader:
             p += 1
         return None
 
-    def read_rows(self, count: int, width: int, what: str) -> list[Vec]:
+    def read_rows(self, count: int, width: int, what: str) -> tuple[Vec, ...]:
         if width == 0:  # empty rows serialize as blank lines, which are skipped
             if count > len(self.lines) - self.pos:
                 raise FormatError("unexpected end of input, wanted %d empty %s rows"
                                   % (count, what), len(self.lines) + 1)
-            return [()] * count
+            return ((),) * count
         rows = []
         for _ in range(count):
             line, no = self.next_line(what)
@@ -116,16 +117,16 @@ class _Reader:
                     "%s row has %d entries, expected %d" % (what, len(toks), width),
                     no,
                 )
-            rows.append(tuple(_parse_rational(t, no) for t in toks))
-        return rows
+            rows.append(tuple([_parse_rational(t, no) for t in toks]))
+        return tuple(rows)
 
-    def read_block(self, toks: list[str], no: int, what: str) -> tuple[int, list[Vec]]:
+    def read_block(self, toks: list[str], no: int, what: str) -> tuple[int, tuple[Vec, ...]]:
         """Width and rows of the block whose header ``LABEL count width`` was
         read at line `no`; rows of inequalities carry beta, one more entry."""
         count, width = _counts(toks[1:], 2, no)
         return width, self.read_rows(count, width + (toks[0] in (POLY_H, "H")), what)
 
-    def expect_block(self, label: str) -> tuple[int, list[Vec]]:
+    def expect_block(self, label: str) -> tuple[int, tuple[Vec, ...]]:
         line, no = self.next_line("%s header" % label)
         toks = line.split()
         if toks[0] != label:
@@ -166,16 +167,17 @@ def _parse_document(r: _Reader) -> Document:
     if kind == CERT:
         return Document(CERT, _parse_cert(r, toks, no))
     n, rows = r.read_block(toks, no, _ROW_NAMES[kind])
+    # read_rows has checked every width, so the blocks are taken as they are.
     if kind == MATRIX:
-        return Document(MATRIX, Matrix(rows, cols=n))
+        return Document(MATRIX, Matrix._of(rows, n))
     if kind in (POLY_V, POLY_H):
-        return Document(kind, PolytopeRep(kind[-1], n, tuple(rows)))
-    lineality: list[Vec] = []
+        return Document(kind, PolytopeRep._of(kind[-1], n, rows))
+    lineality: tuple[Vec, ...] = ()
     if kind == CONE_V and r.peek() and r.peek().split()[0] == "LINEALITY":
         line, no2 = r.next_line("lineality header")
         (k,) = _counts(line.split()[1:], 1, no2)
         lineality = r.read_rows(k, n, "lineality")
-    return Document(kind, ConeRep(kind[-1], n, tuple(rows), tuple(lineality)))
+    return Document(kind, ConeRep(kind[-1], n, rows, lineality))
 
 
 def _parse_cert(r: _Reader, toks: list[str], no: int):
@@ -206,8 +208,8 @@ def _parse_cert(r: _Reader, toks: list[str], no: int):
     if r.peek() is not None:
         n, v = r.expect_block("V")
         n2, h = r.expect_block("H")
-        polytope = (PolytopeRep("V", n, tuple(v)), PolytopeRep("H", n2, tuple(h)))
-    return YesCertificate(Matrix(a_rows, cols=k), Matrix(b_rows, cols=q), mu, polytope)
+        polytope = (PolytopeRep._of("V", n, v), PolytopeRep._of("H", n2, h))
+    return YesCertificate(Matrix._of(a_rows, k), Matrix._of(b_rows, q), mu, polytope)
 
 
 def serialize(doc: Document) -> str:

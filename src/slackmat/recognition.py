@@ -32,6 +32,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .echelon import (
@@ -52,7 +53,6 @@ from .matrix import (
     dot,
     integer_vec,
     is_zero_vec,
-    ones,
     rank,
     right_kernel_basis,
     unit,
@@ -173,8 +173,8 @@ def is_polytope_slack(m: Matrix) -> RecognitionResult:
 def verify_no_certificate(m: Matrix, cert: NoCertificate) -> bool:
     """Re-check a rejection certificate by pure arithmetic.
 
-    Independent of the recognition path: only ranks, signs and dot
-    products.  Invalid or ill-shaped certificates return False.
+    Independent of the recognition path: only ranks, and the signs of dot
+    products summed in ints.  Invalid or ill-shaped certificates return False.
     """
     if cert.convention not in ("row", "column"):
         return False
@@ -185,7 +185,9 @@ def verify_no_certificate(m: Matrix, cert: NoCertificate) -> bool:
             z = vec(cert.witness)
             if len(z) != m.rows:
                 return False
-            return is_zero_vec(m.vecmat(z)) and dot(z, ones(m.rows)) != 0
+            zi = integer_vec(z)[0]  # cleared once; each sum is a positive multiple
+            return sum(zi) != 0 and not any(sum(map(mul, zi, integer_vec(c)[0]))
+                                            for c in zip(*m.data))
         if cert.reason != UNMATCHED_RAY:
             return False
         mm = m.transpose() if cert.convention == "row" else m
@@ -198,11 +200,23 @@ def verify_no_certificate(m: Matrix, cert: NoCertificate) -> bool:
         rows = _cleared(r + (xi,) for r, xi in zip(mm.data, x))
         if mm.cols in _echelon(rows, mm.cols + 1)[1]:  # x is not in the span
             return False
-        if any(dot(h, c) < 0 for c in mm.columns()):
+        hi = integer_vec(h)[0]
+        if any(sum(map(mul, hi, integer_vec(c)[0])) < 0 for c in zip(*mm.data)):
             return False
-        return dot(h, x) < 0
+        return sum(map(mul, hi, integer_vec(x)[0])) < 0
     except (ValueError, TypeError):
         return False
+
+
+def _cleared_product(m: Matrix, a: Matrix, b: Matrix):
+    """(a's rows, b's columns) cleared once each to (ints, den) if a b = m,
+    else None; entry (i, j) is sum(p q) y_den = y_num dp dq, in ints."""
+    rows = [integer_vec(r) for r in a.data]
+    cols = [integer_vec(c) for c in b.transpose().data]
+    ok = (a.rows, a.cols, b.cols) == (m.rows, b.rows, m.cols) and all(
+        sum(map(mul, p, q)) * x.denominator == x.numerator * dp * dq
+        for (p, dp), y in zip(rows, m.data) for (q, dq), x in zip(cols, y))
+    return (rows, cols) if ok else None
 
 
 def verify_yes_certificate(m: Matrix, cert: YesCertificate) -> bool:
@@ -212,27 +226,31 @@ def verify_yes_certificate(m: Matrix, cert: YesCertificate) -> bool:
     iff every extreme ray of that cone is a positive multiple of a column of
     b, or, dually, every one of {x : x b >= 0} of a row of a.  One DD decides
     it on the side `_cone_match` picks; a lineality space there (a factor of
-    rank below a.cols) fails.  With mu it also needs m mu = 1 and rank(m) >= 2
-    (on m's normal form), and with a V/H pair in one R^n that its slack matrix
-    is m and [1 | V] has rank a.cols.  Invalid or ill-shaped ones return False.
+    rank below k = a.cols) fails.  With mu it also needs m mu = 1 and
+    rank(m) >= 2, on m's normal form N.  A V/H pair must be the one read off
+    a = [1 | V] and b's columns (beta_j, -a_j), in R^(k-1), with rank [1 | V]
+    = k tested as rank(N) = k: once the DD passes rank m = rank a, since on
+    a's side ker a = 0 and a e_0 = 1 puts e_0 inside {y : a y >= 0} = cone(b),
+    so b has rank k, and on b's side b has rank k.  Ill-shaped ones fail.
     """
-    a, b = cert.a, cert.b
-    try:
-        if not m.is_nonnegative() or a * b != m:
-            return False
-        if cert.mu is not None and (m.matvec(cert.mu) != ones(m.rows)
-                                    or len(_echelon(_normal_form(m)[0], m.cols)[1]) < 2):
-            return False
-        if cert.polytope is not None:
-            v, h = cert.polytope
-            lifted = Matrix([(1,) + pt for pt in v.points()], cols=v.ambient_dim + 1)
-            if ((h.form, h.ambient_dim) != ("H", v.ambient_dim)
-                    or not _table_is_scaled(v, h, m.data, 1) or rank(lifted) != a.cols):
-                return False
-    except ValueError:  # mis-shaped blocks, or a V block that is not a V-form
+    a, b, k, mu, pair = cert.a, cert.b, cert.a.cols, cert.mu, cert.polytope
+    cleared = m.is_nonnegative() and _cleared_product(m, a, b)
+    if not cleared or (mu is not None and len(mu) != m.cols):
         return False
-    _, lin, rays = _cone_match((integer_vec(r)[0] for r in a.data),
-                               (integer_vec(c)[0] for c in b.columns()), a.cols)
+    if mu is not None or pair is not None:
+        n, d1, d2 = _normal_form(m)
+        rk = len(_echelon(list(n), m.cols)[1])
+        if mu is not None:  # m mu = 1 iff N (mu / d2) = d1 1
+            w, dw = integer_vec([x * Fraction(v, u) for x, (u, v) in zip(mu, d2)])
+            if rk < 2 or any(sum(map(mul, r, w)) * t != s * dw for r, (s, t) in zip(n, d1)):
+                return False
+        if pair is not None and (rk != k or any(r[:1] != (1,) for r in a.data) or pair != (
+                PolytopeRep._of("V", k - 1, tuple(r[1:] for r in a.data)),
+                PolytopeRep._of("H", k - 1, tuple(c[:1] + tuple(-x for x in c[1:])
+                                                  for c in b.transpose().data)))):
+            return False
+    rows, cols = cleared
+    _, lin, rays = _cone_match((p for p, _ in rows), (q for q, _ in cols), k)
     return not lin and not rays
 
 

@@ -533,3 +533,30 @@ def verify_equality_fraction_reference(q: PolytopeRep, p: PolytopeRep):
     if not res.verdict:
         return VerificationResult(False, SLACK_REJECT, witness=res.certificate)
     return VerificationResult(True, EQUAL)
+
+
+def verify_no_dot_reference(m: Matrix, cert) -> bool:
+    """`verify_no_certificate` with one Fraction dot product per column and
+    sympy ranks: x is in the span iff rank [M | x] = rank M."""
+    if cert.convention not in ("row", "column"):
+        return False
+    try:
+        if cert.reason == RANK_TOO_SMALL:
+            return sympy_rank(m) < 2
+        z = tuple(F(x) for x in cert.witness)
+        if cert.reason == ONES_NOT_IN_SPAN:
+            return (len(z) == m.rows and all(x == 0 for x in vecmat_reference(m, z))
+                    and sum(z, F(0)) != 0)
+        if cert.reason != UNMATCHED_RAY:
+            return False
+        mm = m.transpose() if cert.convention == "row" else m
+        h = tuple(F(x) for x in cert.separator)
+        if len(z) != mm.rows or len(h) != mm.rows or is_zero_vec(z) or min(z) < 0:
+            return False
+        aug = Matrix([r + (x,) for r, x in zip(mm.data, z)], cols=mm.cols + 1)
+        if sympy_rank(aug) != sympy_rank(mm):
+            return False
+        return (all(dot_reference(h, c) >= 0 for c in mm.columns())
+                and dot_reference(h, z) < 0)
+    except (ValueError, TypeError):
+        return False

@@ -1,6 +1,10 @@
+import hashlib
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -16,10 +20,11 @@ from slackmat.recognition import (
     affine_criterion_check,
     cone_check_via_polytope,
 )
+from slackmat import cli
 from slackmat.cli import build_parser, run
 from slackmat.formats import document_for, parse, serialize
 
-from randgen import projectively_scaled
+from randgen import projectively_scaled, recognition_inputs, rng
 from golden import (
     COUNTEREXAMPLE,
     PRISM,
@@ -127,6 +132,32 @@ class TestCheckCommands:
         f = write_doc(tmp_path / "mt.matrix", PRISM.transpose())
         assert run(["check-cone", f, "--quiet"]) == 0
         assert run(["check-polytope", f, "--quiet"]) == 1
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "latin.matrix"
+        f.write_bytes(b"MATRIX 1 1\n\xff\n")
+        assert run(["check-cone", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xff in "
+            "position 11: invalid start byte\n")
+
+    def test_crlf_and_cr_line_ends_read_as_lf(self, tmp_path, capsys):
+        # Files are read as bytes; CRLF and a lone CR still end lines, so
+        # verdicts and error line numbers match the LF file's.
+        lf = serialize(document_for(PRISM)) + "1 2\n"
+        outs = []
+        for end in ("\n", "\r\n", "\r"):
+            f = tmp_path / "prism.matrix"
+            f.write_bytes(lf.replace("\n", end).encode())
+            cert = tmp_path / "prism.cert"
+            codes = (run(["check-polytope", str(f)]), run(["check-polytope", str(f),
+                                                          "--certificate", str(cert)]))
+            f.write_bytes(lf.split("1 2")[0].replace("\n", end).encode())
+            codes += (run(["check-polytope", str(f), "--certificate", str(cert)]),)
+            assert b"\r" not in cert.read_bytes()
+            outs.append((codes, capsys.readouterr()))
+        assert outs[0][0] == (2, 2, 0)
+        assert outs[1:] == outs[:1] * 2
 
     def test_bad_file_is_usage_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.matrix")
@@ -505,3 +536,86 @@ class TestExitContract:
             for cert in ("cone.cert", "poly.cert", "rec.cert"):
                 assert _run(["verify-cert", path, out[cert]])[:2] == (0, "CERT valid\n")
 
+
+# The digest of TestRoundTripPin's outputs, computed with the program as it
+# was before the checkers, the reader and the CLI were made cheaper: those
+# changes keep every byte the CLI writes.
+ROUND_TRIP_DIGEST = (
+    "634519c8c8cf1f40b8057d4bc5cbc5c0e4cc80ec56b4205f1331f3d2d48d9b3c")
+
+
+def round_trip_digest(directory: str) -> str:
+    """sha256 of the exit code, stdout and stderr of check-cone and
+    check-polytope with --certificate and of verify-cert on both
+    certificates, and of the certificate files' bytes, on 40 seeded
+    recognition inputs and an all-zero, a rank-one and a column-scaled
+    prism matrix."""
+    r = rng(32)
+    matrices = [m for _ in range(5) for m in recognition_inputs(r)]
+    matrices += [Matrix.zero(3, 4), Matrix([[1, F(1, 2), 3], [2, 1, 6], [0, 0, 0]]),
+                 PRISM_SCALED]
+    h = hashlib.sha256()
+    for i, m in enumerate(matrices):
+        path = write_doc(Path(directory, "m%d.matrix" % i), m)
+        certs = [str(Path(directory, "m%d.%s.cert" % (i, kind))) for kind in ("cone", "poly")]
+        for argv in (["check-cone", path, "--certificate", certs[0]],
+                     ["check-polytope", path, "--certificate", certs[1]],
+                     ["verify-cert", path, certs[0]], ["verify-cert", path, certs[1]]):
+            code, out, err = _run(argv)
+            h.update(("%d\n%s\n%s\n" % (code, out, err.replace(directory, "DIR"))).encode())
+        for cert in certs:
+            h.update(Path(cert).read_bytes())
+    return h.hexdigest()
+
+
+class TestRoundTripPin:
+    def test_outputs_are_pinned(self, tmp_path):
+        assert round_trip_digest(str(tmp_path)) == ROUND_TRIP_DIGEST
+
+
+def _outcome(call):
+    """(result, stdout, stderr) of call(), with the code of a SystemExit as
+    its result, as run returns it."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as e:
+            result = e.code or 0
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParserRoute:
+    """run parses with the named command's own parser; every argv ends as
+    it would through the top-level parser: the same Namespace, or the same
+    exit code and output."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["nope"], ["--quiet", "check-cone", "F"], ["check-cone"],
+        ["check-cone", "F", "extra"], ["check-cone", "--no-such", "F"],
+        ["check-cone", "F", "--cert", "C"], ["check-cone", "-h"],
+        ["verify-cert", "F", "C"], ["check-polytope", "--quiet", "F", "--oracle"],
+    ], ids=["none", "help", "unknown", "top-level-option", "missing-file", "extra",
+            "unknown-option", "abbreviation", "command-help", "verify-cert", "flags"])
+    def test_same_outcome_as_top_level_parser(self, prism_file, tmp_path, argv):
+        argv = [{"F": prism_file, "C": str(tmp_path / "c.cert")}.get(a, a) for a in argv]
+        top = _outcome(lambda: build_parser().parse_args(argv))
+        if isinstance(top[0], int):
+            assert _outcome(lambda: run(argv)) == top
+        else:
+            assert _outcome(lambda: cli._parse_args(argv)) == top
+
+    def test_module_entry_point(self, prism_file):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        cmd = [sys.executable, "-m", "slackmat.cli"]
+        done = subprocess.run(cmd + ["check-polytope", prism_file], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "POLYTOPE-SLACK yes rank=4 dim=3\n", "")
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("usage: slackmat [-h]")
+        assert done.stderr.endswith(
+            "slackmat: error: the following arguments are required: command\n")

@@ -2,6 +2,7 @@ import gc
 import itertools
 import sys
 import weakref
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -47,6 +48,7 @@ from oracles import (
     polytope_slack_fraction_reference,
     polytope_slack_wide_reference,
     verify_equality_fraction_reference,
+    verify_no_dot_reference,
 )
 from randgen import (
     centred_slack,
@@ -413,6 +415,139 @@ class TestVerifyNoCertificate:
         for reason in (UNMATCHED_RAY, ONES_NOT_IN_SPAN):
             odd = NoCertificate(reason, cert.convention, None, cert.separator)
             assert not verify_no_certificate(COUNTEREXAMPLE, odd)
+
+    def test_forged_certificates_agree_with_dot_reference(self):
+        # Each NO certificate recognition gives, and forgeries of it: one
+        # witness or separator entry moved, a sign flipped, the convention
+        # swapped.  The int sign test agrees with per-column Fraction dots.
+        r = rng(32)
+        verdicts = set()
+        for _ in range(12):
+            for m in recognition_inputs(r):
+                for res in (ccgc_check(m), rcgc_check(m), is_polytope_slack(m)):
+                    if res.verdict:
+                        continue
+                    for cert in _forged_no_certificates(r, res.certificate):
+                        ok = verify_no_certificate(m, cert)
+                        assert ok == verify_no_dot_reference(m, cert), cert
+                        verdicts.add(ok)
+        assert verdicts == {True, False}
+
+
+def _forged_no_certificates(r, cert):
+    yield cert
+    swapped = "row" if cert.convention == "column" else "column"
+    yield replace(cert, convention=swapped)
+    for field in ("witness", "separator"):
+        v = getattr(cert, field)
+        if v:
+            i = r.randrange(len(v))
+            for x in (v[i] + F(r.randint(1, 3), r.randint(1, 3)), -v[i], F(0)):
+                yield replace(cert, **{field: v[:i] + (x,) + v[i + 1:]})
+
+
+big = st.one_of(st.integers(-3, 3), st.integers(2**80 - 2, 2**80 + 2),
+                st.integers(-2**80 - 2, -2**80 + 2))
+mixed_fractions = st.builds(F, big, st.sampled_from([1, 2, 3, 7, 2**40 + 1]))
+
+
+@st.composite
+def factor_triples(draw):
+    """(m, a, b) with a b = m, or with one entry of m moved off it; shapes
+    down to 0 x q, p x 0 and inner dimension 0."""
+    p, k, q = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    a = Matrix([[draw(mixed_fractions) for _ in range(k)] for _ in range(p)], cols=k)
+    b = Matrix([[draw(mixed_fractions) for _ in range(q)] for _ in range(k)], cols=q)
+    rows = [list(row) for row in (a * b).data]
+    if p and q and draw(st.booleans()):
+        rows[draw(st.integers(0, p - 1))][draw(st.integers(0, q - 1))] += draw(
+            mixed_fractions.filter(bool))
+    return Matrix(rows, cols=q), a, b
+
+
+class TestCheckerProducts:
+    """verify_yes_certificate tests a b = m on ints cleared once per row of
+    a and column of b; that test is a b == m with Fractions."""
+
+    @given(factor_triples())
+    @settings(max_examples=300, deadline=None)
+    def test_int_product_test_is_fraction_product(self, mab):
+        m, a, b = mab
+        cleared = recognition._cleared_product(m, a, b)
+        assert (cleared is not None) == (a * b == m)
+        if cleared is not None:
+            assert cleared == ([integer_vec(row) for row in a.data],
+                               [integer_vec(col) for col in b.columns()])
+
+    @pytest.mark.parametrize("p, k, q", [(0, 2, 3), (3, 2, 0), (2, 0, 3), (0, 0, 0)])
+    def test_empty_shapes(self, p, k, q):
+        a, b = Matrix.zero(p, k), Matrix.zero(k, q)
+        assert recognition._cleared_product(Matrix.zero(p, q), a, b) is not None
+        for m in (Matrix.zero(p, q + 1), Matrix.zero(p + 1, q)):
+            assert recognition._cleared_product(m, a, b) is None
+        assert recognition._cleared_product(Matrix.zero(p, q), a, Matrix.zero(k + 1, q)) is None
+
+
+class TestForgedYesCertificates:
+    """A forged YES certificate stays invalid.  Its V/H pair must be the one
+    read off its factors, its mu must satisfy m mu = 1 on m's normal form,
+    and [1 | V] must have rank a.cols, tested as rank m."""
+
+    @pytest.fixture
+    def cert(self):
+        cert = is_polytope_slack(PRISM_SCALED).certificate
+        assert verify_yes_certificate(PRISM_SCALED, cert)
+        return cert
+
+    @staticmethod
+    def moved(rep, i, t):
+        row = rep.vectors[i]
+        vectors = rep.vectors[:i] + (row[:t] + (row[t] + 1,) + row[t + 1:],) + rep.vectors[i + 1:]
+        return PolytopeRep(rep.form, rep.ambient_dim, vectors)
+
+    @pytest.mark.parametrize("side, i, t", [(0, 0, 0), (0, 5, 2), (1, 0, 0), (1, 4, 3)])
+    def test_one_entry_moved(self, cert, side, i, t):
+        pair = list(cert.polytope)
+        pair[side] = self.moved(pair[side], i, t)
+        assert not verify_yes_certificate(PRISM_SCALED, replace(cert, polytope=tuple(pair)))
+
+    def test_translated_pair_is_not_read_off_the_factors(self, cert):
+        # The translate by t realizes the same matrix, so a checker of slacks
+        # alone would take it; only the pair read off a and b is accepted.
+        v, h = cert.polytope
+        t = (F(1), F(-2), F(1, 3))
+        v2 = PolytopeRep("V", 3, tuple(tuple(map(sum, zip(x, t))) for x in v.vectors))
+        h2 = PolytopeRep("H", 3, tuple(
+            (row[0] + sum(map(lambda a, s: a * s, row[1:], t)),) + row[1:]
+            for row in h.vectors))
+        assert slack_of_polytope(v2, h2) == PRISM_SCALED
+        assert not verify_yes_certificate(PRISM_SCALED, replace(cert, polytope=(v2, h2)))
+
+    def test_wrong_mu(self, cert):
+        mu = cert.mu
+        for forged in (mu[:2] + (mu[2] + 1,) + mu[3:], mu + (F(0),), mu[:-1]):
+            assert not verify_yes_certificate(PRISM_SCALED, replace(cert, mu=forged))
+            assert not verify_yes_certificate(PRISM_SCALED, replace(cert, mu=forged,
+                                                                    polytope=None))
+
+    def test_segment_in_the_plane(self):
+        # Points on the segment [0, 1] x {0} with facets x1 >= 0, x1 <= 1,
+        # x2 <= 0 and x2 >= 0: V and H are read off a and b, a b = m and
+        # m mu = 1, and the DD on b's side passes, but a = [1 | V] has rank
+        # two, below k = 3.  Only the rank test rejects it.
+        pts = ((0, 0), (1, 0), (F(1, 4), 0), (F(1, 2), 0), (F(3, 4), 0))
+        v = PolytopeRep("V", 2, pts)
+        h = PolytopeRep("H", 2, ((0, -1, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)))
+        m = slack_of_polytope(v, h)
+        a = Matrix([(1,) + pt for pt in pts])
+        b = Matrix([[0, 1, 0, 0], [1, -1, 0, 0], [0, 0, -1, 1]])
+        mu = (F(1), F(1), F(0), F(0))
+        assert a * b == m and m.matvec(mu) == (1,) * 5 and rank(m) == 2 == rank(a)
+        side, lin, rays = echelon._cone_match(
+            (integer_vec(r)[0] for r in a.data),
+            (integer_vec(c)[0] for c in b.columns()), 3)
+        assert (side, lin, rays) == ("row", [], [])
+        assert not verify_yes_certificate(m, YesCertificate(a, b, mu, (v, h)))
 
 
 class TestVerifyYesCertificate:
